@@ -23,6 +23,7 @@ from .exact import (
     build_bell_binomial,
     build_binomials,
     build_stirling,
+    stirling_rows,
 )
 from .modular import (
     CongruenceReport,
@@ -66,6 +67,7 @@ __all__ = [
     "build_bell_binomial",
     "build_binomials",
     "build_stirling",
+    "stirling_rows",
     "ShiftPolynomial",
     "bell_shift",
     "eval_poly",

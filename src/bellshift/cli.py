@@ -32,12 +32,7 @@ import json
 import os
 import sys
 
-from .exact import (
-    bell_from_stirling,
-    build_bell_binomial,
-    build_binomials,
-    build_stirling,
-)
+from .exact import build_bell_binomial, build_binomials, build_stirling, stirling_rows
 from .modular import PrimePower, bell_mod_p_stream, bell_prime_power_residue, touchard_check
 from .partitions import DEFAULT_ENUMERATION_CAP, orbit_decomposition
 from .shiftpoly import shift_poly_closed, shift_poly_recursive
@@ -83,6 +78,10 @@ def _resolve_depth(ns: argparse.Namespace) -> int:
         depth = DEFAULT_TABLE_DEPTH
     if depth < 0:
         raise UsageError("table depth must be >= 0")
+    # emitted decimal strings routinely exceed the interpreter's default
+    # int-to-str guard once tables go past a few hundred rows
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(max(4300, (depth + 10) * len(str(depth + 10))))
     return depth
 
 
@@ -115,9 +114,8 @@ def cmd_bell(ns: argparse.Namespace) -> int:
     _need_depth(ns.n_max, depth, f"bell {ns.n_max}")
     table = build_bell_binomial(ns.n_max)
     if ns.cross_check:
-        tri = build_stirling(ns.n_max)
-        for n in range(ns.n_max + 1):
-            other = bell_from_stirling(tri, n)
+        for n, row in enumerate(stirling_rows(ns.n_max)):
+            other = sum(row)
             if other != table.values[n]:
                 print(
                     f"counterexample: recurrences disagree at n={n}: "
@@ -373,11 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        # emitted decimal strings routinely exceed the interpreter's default
-        # int-to-str guard once tables go past a few hundred rows
-        if hasattr(sys, "set_int_max_str_digits"):
-            depth = _resolve_depth(ns)
-            sys.set_int_max_str_digits(max(4300, (depth + 10) * len(str(depth + 10))))
         return ns.func(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,17 +17,28 @@ With these, the two Bell recurrences
 agree at every index, and the Stirling triangle follows
 
     {n+1 brace k} = {n brace k-1} + k * {n brace k}.
+
+The Bell table evaluates the binomial convolution without a single
+multiplication: Aitken's Bell triangle (OEIS A011971) has entries
+A(n, k) = sum_i C(k, i) * B_{n-k+i}, so its diagonal A(n, n) is the
+convolution itself, and Pascal's rule turns each entry into one
+addition.  The Stirling triangle is streamed row by row by
+``stirling_rows``, so a check that needs only row sums holds one row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, mul
 
 __all__ = [
     "BinomialTable",
     "StirlingTriangle",
     "BellTable",
     "build_binomials",
+    "stirling_rows",
     "build_stirling",
     "build_bell_binomial",
     "bell_from_stirling",
@@ -91,36 +102,44 @@ def build_binomials(n_max: int) -> BinomialTable:
     return BinomialTable(n_max, tuple(rows))
 
 
-def build_stirling(n_max: int) -> StirlingTriangle:
-    """Stirling triangle through row ``n_max`` via
-    {n+1 brace k} = {n brace k-1} + k * {n brace k}."""
+def stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
+    """Yield the Stirling rows ({n brace 0}, ..., {n brace n}) for
+    n = 0..n_max via {n+1 brace k} = {n brace k-1} + k * {n brace k},
+    holding only the current row.  Raises ValueError on first iteration
+    if ``n_max`` is negative."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = [(1,)]
+    row: tuple[int, ...] = (1,)
+    yield row
     for n in range(n_max):
-        prev = rows[n]
-        row = [0] * (n + 2)
-        for k in range(1, n + 2):
-            above = prev[k] if k <= n else 0
-            row[k] = prev[k - 1] + k * above
-        rows.append(tuple(row))
-    return StirlingTriangle(n_max, tuple(rows))
+        row = (0, *map(add, row, map(mul, range(1, n + 1), row[1:])), row[n])
+        yield row
+
+
+def build_stirling(n_max: int) -> StirlingTriangle:
+    """Stirling triangle through row ``n_max``, the rows of ``stirling_rows``."""
+    return StirlingTriangle(n_max, tuple(stirling_rows(n_max)))
 
 
 def build_bell_binomial(n_max: int) -> BellTable:
-    """Bell numbers B_0..B_{n_max} via B_{n+1} = sum_d B_d * C(n, n-d).
+    """Bell numbers B_0..B_{n_max}: the binomial convolution
+    B_{n+1} = sum_d B_d * C(n, n-d), evaluated by Aitken's Bell triangle.
 
-    Only the current Pascal row is kept while filling the table, so
-    memory stays linear in ``n_max`` even though the summation touches
-    every earlier Bell number.
+    Row n of the triangle holds A(n, k) = sum_{i=0}^{k} C(k, i) * B_{n-k+i}
+    for k = 0..n.  Pascal's rule C(k, i) = C(k-1, i-1) + C(k-1, i) gives
+    A(n, k) = A(n, k-1) + A(n-1, k-1), so each row is the running sum of
+    the row above, started from A(n, 0) = B_n.  At k = n the identity is
+    the convolution, so A(n, n) = B_{n+1} starts row n+1.  That is
+    O(n_max^2) big-integer additions and no multiplications; only the
+    current row is kept besides the table.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     values = [1]
-    row = [1]  # Pascal row n, updated in step with the main loop
-    for n in range(n_max):
-        values.append(sum(values[d] * row[n - d] for d in range(n + 1)))
-        row = [1] + [row[i] + row[i + 1] for i in range(n)] + [1]
+    row = [1]  # triangle row 0: A(0, 0) = B_0
+    for _ in range(n_max):
+        row = list(accumulate(row, initial=row[-1]))
+        values.append(row[0])
     return BellTable(n_max, tuple(values))
 
 

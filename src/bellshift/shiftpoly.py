@@ -9,21 +9,23 @@ and two independent ways to construct it:
 * closed form: the coefficient of x^r is B_{j-r} * C(j, r), read off
   exact Bell and Pascal tables;
 * recurrence: P_0(x) = 1 and P_{j+1}(x) = P_j(x+1) + x * P_j(x), iterated
-  on coefficient sequences without consulting any Bell table.
+  on coefficient sequences without consulting any Bell table.  The
+  substitution x -> x+1 is the Ruffini/Horner Taylor shift, which uses
+  additions only.
 
 The two paths must agree coefficient by coefficient, which is what makes
 each a meaningful check on the other.  j = 0 is admitted as the identity
 shift (P_0 = 1) even though the identity is mainly of interest for j >= 1.
 
 Coefficients are stored in ascending degree order: that is the natural
-order both for Horner evaluation and for the exact binomial transform
-that expands P_j(x+1).
+order both for Horner evaluation and for the Taylor shift that expands
+P_j(x+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import accumulate
 
 from .exact import BellTable, BinomialTable, StirlingTriangle
 
@@ -74,24 +76,26 @@ def shift_poly_closed(j: int, bell: BellTable, binom: BinomialTable) -> ShiftPol
 def shift_poly_recursive(j: int) -> ShiftPolynomial:
     """P_j by iterating P_{j+1}(x) = P_j(x+1) + x * P_j(x) from P_0 = 1.
 
-    The substitution x -> x+1 is done exactly on the coefficient
-    sequence: the new coefficient of x^r is sum_{s>=r} c_s * C(s, r).
-    No Bell numbers enter anywhere, so the result is independent of the
-    closed form.
+    P(x+1) is expanded by the Ruffini/Horner Taylor shift on the
+    coefficients taken highest degree first: each pass replaces a prefix
+    by its running sums, which is one synthetic division by (x - 1), and
+    leaves the remainder, the next Taylor coefficient at 1, in the last
+    place of the prefix; the prefix then shrinks by one.  After deg
+    passes the coefficient of x^r is sum_{s>=r} c_s * C(s, r), the
+    binomial expansion of P(x+1), reached with O(deg^2) additions and no
+    binomial coefficients.  No Bell numbers enter anywhere, so the result
+    is independent of the closed form.
     """
     if j < 0:
         raise ValueError("shift j must be >= 0")
-    coeffs = [1]
+    desc = [1]  # coefficients of P_0, highest degree first
     for _ in range(j):
-        deg = len(coeffs) - 1
-        nxt = [0] * (deg + 2)
-        for r in range(deg + 1):
-            # P(x+1) contribution
-            nxt[r] += sum(coeffs[s] * comb(s, r) for s in range(r, deg + 1))
-            # x * P(x) contribution
-            nxt[r + 1] += coeffs[r]
-        coeffs = nxt
-    return ShiftPolynomial(j, tuple(coeffs))
+        shifted = desc[:]
+        for m in range(len(shifted), 1, -1):
+            shifted[:m] = accumulate(shifted[:m])
+        # P(x+1) + x * P(x)
+        desc = [a + b for a, b in zip([0, *shifted], desc + [0])]
+    return ShiftPolynomial(j, tuple(reversed(desc)))
 
 
 def eval_poly(poly: ShiftPolynomial, x: int) -> int:

@@ -14,11 +14,6 @@ def bell300():
 
 
 @pytest.fixture(scope="session")
-def bell2000():
-    return build_bell_binomial(2000)
-
-
-@pytest.fixture(scope="session")
 def stirling50():
     return build_stirling(50)
 

@@ -91,6 +91,12 @@ def test_bad_env_value_is_usage_error():
     assert "not an integer" in res.stderr
 
 
+def test_bad_depth_env_does_not_reach_commands_without_depth():
+    res = run_cli("orbits", "3", "1", env_extra={"BELLSHIFT_DEPTH": "many"})
+    assert res.returncode == 0
+    assert records(res.stdout)["status"] == "ok"
+
+
 # --------------------------------------------------------------- stirling
 
 
@@ -302,7 +308,7 @@ def test_forced_touchard_counterexample_exits_one(monkeypatch, capsys):
 
 
 def test_forced_cross_recurrence_mismatch_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "bell_from_stirling", lambda tri, n: 0)
+    monkeypatch.setattr(cli, "stirling_rows", lambda n_max: ((0,) for _ in range(n_max + 1)))
     assert cli.main(["bell", "3", "--cross-check"]) == 1
     assert "recurrences disagree" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from bellshift import (
     build_stirling,
     count_by_blocks,
     enumerate_partitions,
+    stirling_rows,
 )
 
 from conftest import BELL_SMALL
@@ -85,6 +87,13 @@ def test_stirling_recurrence_full_scan():
             assert tri.rows[n + 1][k] == tri.rows[n][k - 1] + k * tri.rows[n][k]
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 60])
+def test_stirling_rows_stream_the_triangle(n_max):
+    rows = tuple(stirling_rows(n_max))
+    assert rows == build_stirling(n_max).rows
+    assert tuple(map(sum, rows)) == build_bell_binomial(n_max).values
+
+
 def test_stirling_value_accessor():
     tri = build_stirling(6)
     assert tri.value(5, 7) == 0
@@ -122,13 +131,11 @@ def test_bell_binomial_values():
     assert table.values == BELL_SMALL[:10]
 
 
-def test_bell_binomial_defining_sum():
-    table = build_bell_binomial(25)
-    binom = build_binomials(25)
-    for n in range(25):
-        assert table.values[n + 1] == sum(
-            table.values[d] * binom.choose(n, n - d) for d in range(n + 1)
-        )
+def test_bell_binomial_defining_sum(bell300):
+    # the paper's binomial convolution, the oracle for the Bell triangle
+    values = bell300.values
+    for n in range(300):
+        assert values[n + 1] == sum(values[d] * comb(n, n - d) for d in range(n + 1))
 
 
 def test_bell_value_accessor():
