@@ -35,9 +35,9 @@ for p, m in [(2, 3), (3, 2), (5, 1), (11, 2)]:
 print("\nCollapsed polynomials P_{p^m}(k) = constant + k mod p:")
 for p, m in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]:
     pp = PrimePower(p, m)
-    red = reduce_shift_poly(pp, bell)
+    constant = reduce_shift_poly(pp, bell)
     predicted = bell_prime_power_residue(pp)
-    print(f"  p={p} m={m}: constant {red.constant}, predicted (m+1) mod p = {predicted}")
+    print(f"  p={p} m={m}: constant {constant}, predicted (m+1) mod p = {predicted}")
 
 print("\nTouchard sweeps, n in [1, 100]:")
 for p in (2, 3, 5, 7, 11, 13):

@@ -28,7 +28,6 @@ from .exact import (
 from .modular import (
     CongruenceReport,
     PrimePower,
-    ReducedShiftPoly,
     bell_mod_p_stream,
     bell_prime_power_residue,
     binomial_vanishing_check,
@@ -75,7 +74,6 @@ __all__ = [
     "shift_poly_recursive",
     "CongruenceReport",
     "PrimePower",
-    "ReducedShiftPoly",
     "bell_mod_p_stream",
     "bell_prime_power_residue",
     "binomial_vanishing_check",

@@ -18,7 +18,9 @@ word size rendered as decimal strings.  Output is deterministic: the
 same flags always produce byte-identical bytes.
 
 Exit codes are load-bearing: 0 = all checks passed, 1 = a mathematical
-counterexample was found, 2 = usage or configuration error.
+counterexample was found, 2 = usage or configuration error, 3 = internal
+error (the traceback goes to stderr), 141 = the reader of stdout went
+away (the status a shell reports for a writer killed by SIGPIPE).
 
 Configuration precedence is flags over the environment variables
 ``BELLSHIFT_DEPTH`` / ``BELLSHIFT_CAP`` over built-in defaults (200 and
@@ -40,6 +42,8 @@ from .shiftpoly import shift_poly_closed, shift_poly_recursive
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_TABLE_DEPTH = 200
 
@@ -62,39 +66,42 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozens
             print(json.dumps(obj))
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"environment variable {name}={raw!r} is not an integer")
+def _counterexample(msg: str) -> int:
+    print(f"counterexample: {msg}", file=sys.stderr)
+    return EXIT_COUNTEREXAMPLE
 
 
-def _resolve_depth(ns: argparse.Namespace) -> int:
-    depth = ns.depth if ns.depth is not None else _env_int(DEPTH_ENV)
-    if depth is None:
-        depth = DEFAULT_TABLE_DEPTH
-    if depth < 0:
-        raise UsageError("table depth must be >= 0")
-    # emitted decimal strings routinely exceed the interpreter's default
-    # int-to-str guard once tables go past a few hundred rows
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(4300, (depth + 10) * len(str(depth + 10))))
-    return depth
+def _report(ns: argparse.Namespace, rows: list[tuple[str, object]], ok: bool) -> int:
+    rows.append(("status", "ok" if ok else "counterexample"))
+    _emit(("record", "value"), rows, ns.format, frozenset({"value"}))
+    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
-def _resolve_cap(ns: argparse.Namespace) -> int:
-    cap = ns.cap if ns.cap is not None else _env_int(CAP_ENV)
-    if cap is None:
-        cap = DEFAULT_ENUMERATION_CAP
-    if cap < 1:
-        raise UsageError("enumeration cap must be >= 1")
-    return cap
+def _limit(flag: int | None, env: str, default: int, low: int, what: str) -> int:
+    """The flag if given, else the environment variable if set, else the
+    default; below ``low`` is a usage error."""
+    if flag is not None:
+        value = flag
+    elif (raw := os.environ.get(env)) is None:
+        value = default
+    else:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"environment variable {env}={raw!r} is not an integer")
+    if value < low:
+        raise UsageError(f"{what} must be >= {low}")
+    return value
 
 
-def _need_depth(needed: int, depth: int, what: str) -> None:
+def _depth(ns: argparse.Namespace) -> int:
+    return _limit(ns.depth, DEPTH_ENV, DEFAULT_TABLE_DEPTH, 0, "table depth")
+
+
+def _need_depth(ns: argparse.Namespace, needed: int, what: str) -> None:
+    depth = _depth(ns)
+    if needed < 0:
+        raise UsageError(f"{what} needs table index {needed}, which must be >= 0")
     if needed > depth:
         raise UsageError(
             f"{what} needs table index {needed}, above the configured depth {depth}; "
@@ -102,27 +109,23 @@ def _need_depth(needed: int, depth: int, what: str) -> None:
         )
 
 
-def _prime_power(ns: argparse.Namespace) -> PrimePower:
+def _prime_power(p: int, m: int) -> PrimePower:
     try:
-        return PrimePower(ns.p, ns.m)
+        return PrimePower(p, m)
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
 def cmd_bell(ns: argparse.Namespace) -> int:
-    depth = _resolve_depth(ns)
-    _need_depth(ns.n_max, depth, f"bell {ns.n_max}")
+    _need_depth(ns, ns.n_max, f"bell {ns.n_max}")
     table = build_bell_binomial(ns.n_max)
     if ns.cross_check:
         for n, row in enumerate(stirling_rows(ns.n_max)):
             other = sum(row)
             if other != table.values[n]:
-                print(
-                    f"counterexample: recurrences disagree at n={n}: "
-                    f"{table.values[n]} != {other}",
-                    file=sys.stderr,
+                return _counterexample(
+                    f"recurrences disagree at n={n}: {table.values[n]} != {other}"
                 )
-                return EXIT_COUNTEREXAMPLE
     _emit(
         ("n", "bell"),
         ((n, table.values[n]) for n in range(ns.n_max + 1)),
@@ -133,8 +136,7 @@ def cmd_bell(ns: argparse.Namespace) -> int:
 
 
 def cmd_stirling(ns: argparse.Namespace) -> int:
-    depth = _resolve_depth(ns)
-    _need_depth(ns.n_max, depth, f"stirling {ns.n_max}")
+    _need_depth(ns, ns.n_max, f"stirling {ns.n_max}")
     tri = build_stirling(ns.n_max)
     _emit(
         ("n", "k", "value"),
@@ -150,8 +152,7 @@ def cmd_stirling(ns: argparse.Namespace) -> int:
 
 
 def cmd_shift_poly(ns: argparse.Namespace) -> int:
-    depth = _resolve_depth(ns)
-    _need_depth(ns.j, depth, f"shift-poly {ns.j}")
+    _need_depth(ns, ns.j, f"shift-poly {ns.j}")
     closed = shift_poly_closed(ns.j, build_bell_binomial(ns.j), build_binomials(ns.j))
     if ns.check_recursive:
         recursive = shift_poly_recursive(ns.j)
@@ -162,11 +163,7 @@ def cmd_shift_poly(ns: argparse.Namespace) -> int:
             frozenset({"closed", "recursive"}),
         )
         if closed.coeffs != recursive.coeffs:
-            print(
-                f"counterexample: construction paths disagree for shift {ns.j}",
-                file=sys.stderr,
-            )
-            return EXIT_COUNTEREXAMPLE
+            return _counterexample(f"construction paths disagree for shift {ns.j}")
         return EXIT_OK
     _emit(
         ("r", "coefficient"),
@@ -178,16 +175,18 @@ def cmd_shift_poly(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    depth = _resolve_depth(ns)
-    pp = _prime_power(ns)
+    pp = _prime_power(ns.p, ns.m)
     if ns.n_lo < 1 or ns.n_lo > ns.n_hi:
         raise UsageError(f"need 1 <= n_lo <= n_hi, got [{ns.n_lo}, {ns.n_hi}]")
-    _need_depth(ns.n_hi + pp.value, depth, f"verify {pp.p} {pp.m}")
+    # p^m >= 2^m: an exponent past the depth's bit length is refused before
+    # p^m is formed, since a huge power is slow to build and to print
+    if pp.m > _depth(ns).bit_length():
+        raise UsageError(f"verify {pp.p} {pp.m}: {pp.p}^{pp.m} is above the configured depth")
+    _need_depth(ns, ns.n_hi + pp.value, f"verify {pp.p} {pp.m}")
     bell = build_bell_binomial(ns.n_hi + pp.value)
     report = touchard_check(pp, ns.n_lo, ns.n_hi, bell)
     predicted = bell_prime_power_residue(pp)
     actual = bell.values[pp.value] % pp.p
-    ok = report.ok and predicted == actual
     rows = [
         ("p", pp.p),
         ("m", pp.m),
@@ -201,30 +200,21 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         ("counterexample", f"n={n} lhs={lhs} rhs={rhs}")
         for n, lhs, rhs in report.counterexamples
     )
-    rows.extend(
-        [
-            ("predicted_residue", predicted),
-            ("actual_residue", actual),
-            ("status", "ok" if ok else "counterexample"),
-        ]
-    )
-    _emit(("record", "value"), rows, ns.format, frozenset({"value"}))
-    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
+    rows.extend([("predicted_residue", predicted), ("actual_residue", actual)])
+    return _report(ns, rows, report.ok and predicted == actual)
 
 
 def cmd_orbits(ns: argparse.Namespace) -> int:
-    cap = _resolve_cap(ns)
-    pp = _prime_power(ns)
-    try:
-        summaries = orbit_decomposition(pp.value, cap)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cap = _limit(ns.cap, CAP_ENV, DEFAULT_ENUMERATION_CAP, 1, "enumeration cap")
+    pp = _prime_power(ns.p, ns.m)
+    if pp.m > cap.bit_length() or pp.value > cap:  # p^m >= 2^m, as in cmd_verify
+        raise UsageError(f"n={pp.p}^{pp.m} exceeds the enumeration cap of {cap}")
+    summaries = orbit_decomposition(pp.value, cap)
     total = sum(s.size for s in summaries)
     hist: dict[int, int] = {}
     for s in summaries:
         hist[s.size] = hist.get(s.size, 0) + 1
-    fixed = [s.representative for s in summaries if s.is_fixed]
-    ok = len(fixed) == pp.m + 1 and len(fixed) % pp.p == total % pp.p
+    fixed = [s.representative for s in summaries if s.size == 1]
     rows = [
         ("p", pp.p),
         ("m", pp.m),
@@ -242,41 +232,28 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
         ]
     )
     rows.extend((f"fixed_{i}", str(part)) for i, part in enumerate(fixed))
-    rows.append(("status", "ok" if ok else "counterexample"))
-    _emit(("record", "value"), rows, ns.format, frozenset({"value"}))
-    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
+    return _report(ns, rows, len(fixed) == pp.m + 1 and len(fixed) % pp.p == total % pp.p)
 
 
 def cmd_bell_mod(ns: argparse.Namespace) -> int:
-    depth = _resolve_depth(ns)
-    try:
-        PrimePower(ns.p, 1)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if ns.n_max < ns.p - 1:
-        raise UsageError(f"N must be >= p-1 = {ns.p - 1} to cover the seed window")
+    p = _prime_power(ns.p, 1).p
+    if ns.n_max < p - 1:
+        raise UsageError(f"N must be >= p-1 = {p - 1} to cover the seed window")
     if ns.cross_check:
-        _need_depth(ns.n_max, depth, f"bell-mod {ns.p} {ns.n_max} --cross-check")
+        _need_depth(ns, ns.n_max, f"bell-mod {p} {ns.n_max} --cross-check")
         exact_to = ns.n_max
     else:
-        _need_depth(ns.p - 1, depth, f"bell-mod {ns.p} seeds")
-        exact_to = ns.p - 1
+        _need_depth(ns, p - 1, f"bell-mod {p} seeds")
+        exact_to = p - 1
     bell = build_bell_binomial(exact_to)
-    seeds = [bell.values[i] % ns.p for i in range(ns.p)]
-    try:
-        stream = bell_mod_p_stream(ns.p, ns.n_max, seeds)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    stream = bell_mod_p_stream(p, ns.n_max, [bell.values[i] % p for i in range(p)])
     if ns.cross_check:
         for n in range(ns.n_max + 1):
-            expect = bell.values[n] % ns.p
+            expect = bell.values[n] % p
             if stream[n] != expect:
-                print(
-                    f"counterexample: stream disagrees with exact reduction at "
-                    f"n={n}: {stream[n]} != {expect}",
-                    file=sys.stderr,
+                return _counterexample(
+                    f"stream disagrees with exact reduction at n={n}: {stream[n]} != {expect}"
                 )
-                return EXIT_COUNTEREXAMPLE
     _emit(("n", "residue"), enumerate(stream), ns.format)
     return EXIT_OK
 
@@ -370,14 +347,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
+    # emitted decimal strings routinely exceed the interpreter's default
+    # int-to-str guard once tables go past a few hundred rows
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the flush at exit cannot
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except Exception as exc:
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

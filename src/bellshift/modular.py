@@ -25,7 +25,6 @@ from .exact import BellTable, BinomialTable
 
 __all__ = [
     "PrimePower",
-    "ReducedShiftPoly",
     "CongruenceReport",
     "is_prime",
     "prime_powers_up_to",
@@ -92,15 +91,6 @@ def prime_powers_up_to(bound: int) -> list[PrimePower]:
 
 
 @dataclass(frozen=True)
-class ReducedShiftPoly:
-    """P_{p^m} reduced mod p: the polynomial collapses to constant + k,
-    where constant is the residue of B_{p^m} and the k-coefficient is 1."""
-
-    pp: PrimePower
-    constant: int
-
-
-@dataclass(frozen=True)
 class CongruenceReport:
     """Outcome of sweeping a congruence over n in [n_lo, n_hi].
 
@@ -119,8 +109,9 @@ class CongruenceReport:
         return not self.counterexamples
 
 
-def reduce_shift_poly(pp: PrimePower, bell: BellTable) -> ReducedShiftPoly:
-    """Collapse P_{p^m} mod p to its two surviving terms.
+def reduce_shift_poly(pp: PrimePower, bell: BellTable) -> int:
+    """Collapse P_{p^m} mod p to its two surviving terms and return the
+    constant, the residue of B_{p^m}; the k-coefficient is 1.
 
     All interior coefficients B_{p^m - r} * C(p^m, r) vanish mod p
     because p divides C(p^m, r) for 0 < r < p^m (for p = 2 this holds at
@@ -132,7 +123,7 @@ def reduce_shift_poly(pp: PrimePower, bell: BellTable) -> ReducedShiftPoly:
         raise ValueError(
             f"Bell table too shallow: need index {pp.value}, have {bell.max_index}"
         )
-    return ReducedShiftPoly(pp, bell.values[pp.value] % pp.p)
+    return bell.values[pp.value] % pp.p
 
 
 def binomial_vanishing_check(pp: PrimePower, binom: BinomialTable) -> bool:

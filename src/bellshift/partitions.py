@@ -116,18 +116,15 @@ class TranslationAction:
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """One orbit of the translation action: lexicographically least member,
-    orbit size, and whether the orbit is a fixed point."""
+    """One orbit of the translation action: lexicographically least member
+    and orbit size; the orbit is a fixed point exactly when its size is 1."""
 
     representative: SetPartition
     size: int
-    is_fixed: bool
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("orbit size must be >= 1")
-        if self.is_fixed != (self.size == 1):
-            raise ValueError("is_fixed must hold exactly for singleton orbits")
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -222,7 +219,7 @@ def orbit_decomposition(
             cur = _shift_rgs(cur, 1, modulus)
         seen.update(orbit)
         size = len(orbit)
-        out.append(OrbitSummary(SetPartition(modulus, rgs), size, size == 1))
+        out.append(OrbitSummary(SetPartition(modulus, rgs), size))
     return tuple(out)
 
 

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from bellshift import build_bell_binomial, build_binomials, build_stirling
+
+# pytest's ``pythonpath`` setting reaches only this process; the
+# ``python -m bellshift`` children of the CLI tests need the package too
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 # B_0..B_12, frozen from exhaustive set-partition enumeration
 BELL_SMALL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)

@@ -276,6 +276,45 @@ def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args", [["bell", "-1"], ["stirling", "-1"], ["shift-poly", "-1"]], ids=lambda a: a[0]
+)
+def test_negative_index_is_usage_error(args):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "must be >= 0" in res.stderr
+
+
+@pytest.mark.parametrize("args", [["verify", "2", "10000000"], ["orbits", "2", "10000000"]])
+def test_huge_prime_power_is_refused_before_it_is_formed(args):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert "2^10000000" in res.stderr and len(res.stderr) < 200
+
+
+def test_huge_depth_is_only_a_bound():
+    res = run_cli("bell", "5", "--depth", "10000000000000000000")
+    assert res.returncode == 0
+    assert [int(v) for _, v in parse_tsv(res.stdout)[1]] == list(BELL_SMALL[:6])
+
+
+def test_closed_stdout_exits_141_quietly():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bellshift", "bell-mod", "7", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"#n\tresidue\n"
+    assert proc.stdout.readline() == b"0\t1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_repeated_runs_are_byte_identical():
     a = run_cli("verify", "3", "2", "--format", "json-lines")
     b = run_cli("verify", "3", "2", "--format", "json-lines")
@@ -332,9 +371,20 @@ def test_forced_missing_fixed_point_exits_one(monkeypatch, capsys):
 
     def drop_one_fixed(n, cap):
         out = real(n, cap)
-        victim = next(i for i, s in enumerate(out) if s.is_fixed)
+        victim = next(i for i, s in enumerate(out) if s.size == 1)
         return out[:victim] + out[victim + 1 :]
 
     monkeypatch.setattr(cli, "orbit_decomposition", drop_one_fixed)
     assert cli.main(["orbits", "3", "1"]) == 1
     assert "counterexample" in capsys.readouterr().out
+
+
+def test_internal_error_exits_three_with_traceback(monkeypatch, capsys):
+    def broken(n_max):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr(cli, "build_bell_binomial", broken)
+    assert cli.main(["bell", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert "ValueError: library fault" in err

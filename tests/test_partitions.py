@@ -196,13 +196,13 @@ def test_each_shift_permutes_the_partition_set():
 def test_orbit_examples():
     two = orbit_decomposition(2)
     assert [s.size for s in two] == [1, 1]
-    assert all(s.is_fixed for s in two)
+    assert all(s.size == 1 for s in two)
 
     three = orbit_decomposition(3)
     assert sorted(s.size for s in three) == [1, 1, 3]
 
     four = orbit_decomposition(4)
-    assert sum(1 for s in four if s.is_fixed) == 3
+    assert sum(1 for s in four if s.size == 1) == 3
     assert sorted(s.size for s in four) == [1, 1, 1, 2, 2, 4, 4]
 
 
@@ -227,9 +227,7 @@ def test_orbit_representative_is_lex_least_and_walk_matches_all_shifts():
 
 def test_orbit_summary_consistency():
     with pytest.raises(ValueError):
-        OrbitSummary(SetPartition(2, (0, 0)), 2, True)
-    with pytest.raises(ValueError):
-        OrbitSummary(SetPartition(2, (0, 0)), 0, False)
+        OrbitSummary(SetPartition(2, (0, 0)), 0)
 
 
 # ------------------------------------------------------------ fixed points
