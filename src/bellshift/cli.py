@@ -36,7 +36,7 @@ import sys
 
 from .exact import build_bell_binomial, build_binomials, build_stirling, stirling_rows
 from .modular import PrimePower, bell_mod_p_stream, bell_prime_power_residue, touchard_check
-from .partitions import DEFAULT_ENUMERATION_CAP, orbit_decomposition
+from .partitions import DEFAULT_ENUMERATION_CAP, MAX_GROUND_SET, orbit_decomposition
 from .shiftpoly import shift_poly_closed, shift_poly_recursive
 
 EXIT_OK = 0
@@ -209,6 +209,11 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
     pp = _prime_power(ns.p, ns.m)
     if pp.m > cap.bit_length() or pp.value > cap:  # p^m >= 2^m, as in cmd_verify
         raise UsageError(f"n={pp.p}^{pp.m} exceeds the enumeration cap of {cap}")
+    if pp.value > MAX_GROUND_SET:
+        raise UsageError(
+            f"n={pp.p}^{pp.m} exceeds {MAX_GROUND_SET}, the largest ground set "
+            "the enumerator takes"
+        )
     summaries = orbit_decomposition(pp.value, cap)
     total = sum(s.size for s in summaries)
     hist: dict[int, int] = {}

@@ -9,11 +9,15 @@ A partition is stored canonically as a restricted growth string (RGS):
 ``rgs[i]`` is the block label of element i, labels are assigned in order
 of first appearance, so ``rgs[0] == 0`` and each entry exceeds the
 running maximum by at most one.  One partition, one string; equality and
-hashing come for free.
+hashing come for free.  ``SetPartition.rgs`` is that string as a tuple;
+inside the enumerator the strings are ``bytes`` (one byte per label),
+which hash and compare in C, order like the tuples, and are not tracked
+by the garbage collector.
 
 Enumeration refuses ground sets above a configurable cap (default 12,
 about 4.2 million partitions) so that full orbit decompositions stay at
-desk scale.
+desk scale, and above ``MAX_GROUND_SET`` = 256 whatever the cap, since a
+byte holds labels below 256 only.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
+MAX_GROUND_SET = 256  # labels are bytes
 
 
 def _canonical(labels: Iterable[int]) -> tuple[int, ...]:
@@ -134,22 +139,32 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError("ground set must be nonempty")
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap of {cap}")
+    if n > MAX_GROUND_SET:
+        raise ValueError(
+            f"n={n} exceeds {MAX_GROUND_SET}, the largest ground set the enumerator takes"
+        )
 
 
-def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical RGS of length n in lexicographic order."""
-    if n == 1:
-        yield (0,)
-        return
+def _rgs_stream(n: int) -> Iterator[bytes]:
+    """All canonical RGS of length n, as bytes, in lexicographic order.
+
+    The walk steps through the first n-1 entries; each such prefix is
+    packed once, and the last entry, which runs over 0..b[-1], is appended
+    to it, so a string costs one short concatenation.
+    """
+    last = [bytes([v]) for v in range(n)]
     a = [0] * n  # current string
-    b = [1] * n  # b[i] = 1 + max(a[:i]) for i >= 1
+    b = [1] * n  # largest value a[i] may take: 1 + max(a[:i]), and 0 for i = 0
+    b[0] = 0
     while True:
-        yield tuple(a)
-        i = n - 1
-        while a[i] == b[i]:
+        head = bytes(a[:-1])
+        for tail in last[: b[-1] + 1]:
+            yield head + tail
+        i = n - 2
+        while i > 0 and a[i] == b[i]:
             i -= 1
-            if i == 0:
-                return
+        if i <= 0:
+            return
         a[i] += 1
         v = b[i] if a[i] < b[i] else a[i] + 1
         for k in range(i + 1, n):
@@ -162,7 +177,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator
     RGS order.  The total number yielded is the Bell number B_n."""
     _check_cap(n, cap)
     for rgs in _rgs_stream(n):
-        yield SetPartition(n, rgs)
+        yield SetPartition(n, tuple(rgs))
 
 
 def count_by_blocks(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
@@ -187,6 +202,18 @@ def _shift_rgs(rgs: tuple[int, ...], y: int, n: int) -> tuple[int, ...]:
     return _canonical(rgs[-y:] + rgs[:-y])
 
 
+def _rotation_tables(n: int) -> list[bytes]:
+    """``bytes.translate`` tables T[c] for c < n: c -> 0, v -> v+1 for
+    v < c, and every v > c unchanged."""
+    return [bytes(range(1, c + 1)) + b"\0" + bytes(range(c + 1, 256)) for c in range(n)]
+
+
+def _rotate(rgs: bytes, tables: list[bytes]) -> bytes:
+    """Canonical RGS of the image of a canonical ``rgs`` under x -> x + 1;
+    ``orbit_decomposition`` says why the table T[rgs[-1]] relabels it."""
+    return (rgs[-1:] + rgs[:-1]).translate(tables[rgs[-1]])
+
+
 def apply_shift(part: SetPartition, act: TranslationAction) -> SetPartition:
     """Apply the translation element-wise and recanonicalize."""
     if part.n != act.modulus:
@@ -202,24 +229,30 @@ def orbit_decomposition(
     """Decompose all partitions of Z/(modulus)Z into translation orbits.
 
     Walks each orbit under the generator shift y = 1, which reaches the
-    whole cyclic orbit; canonical forms live in a hash-keyed index, so
-    membership tests are O(1).  Orbit sizes always sum to B_modulus, and
-    each size divides the modulus.
+    whole cyclic orbit.  One step maps a canonical string s with last
+    label c to ``(s[-1:] + s[:-1]).translate(T[c])``: the rotation puts c
+    first and keeps the first-appearance order of the other labels, so
+    the table T[c] (c -> 0, v -> v+1 below c, unchanged above) is its
+    canonical relabelling.  The strings met on the walk are remembered
+    so the enumeration skips them.  Orbit sizes always sum to B_modulus,
+    and each size divides the modulus.
     """
     _check_cap(modulus, cap)
-    seen: set[tuple[int, ...]] = set()
+    tables = _rotation_tables(modulus)
+    seen: set[bytes] = set()
     out = []
     for rgs in _rgs_stream(modulus):
         if rgs in seen:
             continue
-        orbit = [rgs]
-        cur = _shift_rgs(rgs, 1, modulus)
+        # rgs is the first member of its orbit the stream reaches and is not
+        # reached again, so only the other members need remembering
+        size = 1
+        cur = _rotate(rgs, tables)
         while cur != rgs:
-            orbit.append(cur)
-            cur = _shift_rgs(cur, 1, modulus)
-        seen.update(orbit)
-        size = len(orbit)
-        out.append(OrbitSummary(SetPartition(modulus, rgs), size))
+            seen.add(cur)
+            size += 1
+            cur = _rotate(cur, tables)
+        out.append(OrbitSummary(SetPartition(modulus, tuple(rgs)), size))
     return tuple(out)
 
 
@@ -230,12 +263,15 @@ def fixed_partitions(
 
     Invariance is tested under the generator shift y = 1 only: a
     partition fixed by the generator is fixed by the whole cyclic group.
-    Exactly m+1 partitions qualify, one per block size p^j.
+    The step is the closed-form rotation of ``orbit_decomposition``,
+    ``(s[-1:] + s[:-1]).translate(T[s[-1]]) == s``.  Exactly m+1
+    partitions qualify, one per block size p^j.
     """
     n = pp.value
     _check_cap(n, cap)
+    tables = _rotation_tables(n)
     return tuple(
-        SetPartition(n, rgs) for rgs in _rgs_stream(n) if _shift_rgs(rgs, 1, n) == rgs
+        SetPartition(n, tuple(rgs)) for rgs in _rgs_stream(n) if _rotate(rgs, tables) == rgs
     )
 
 

@@ -13,7 +13,9 @@ from bellshift import cli
 from conftest import BELL_SMALL
 
 
-def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, env_extra: dict[str, str] | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
     if env_extra:
         env.update(env_extra)
@@ -22,6 +24,7 @@ def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.C
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -291,6 +294,13 @@ def test_huge_prime_power_is_refused_before_it_is_formed(args):
     res = run_cli(*args)
     assert res.returncode == 2
     assert "2^10000000" in res.stderr and len(res.stderr) < 200
+
+
+def test_ground_set_past_byte_labels_is_refused_before_enumeration():
+    res = run_cli("orbits", "257", "1", "--cap", "300", timeout=30)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "257^1 exceeds 256" in res.stderr
 
 
 def test_huge_depth_is_only_a_bound():

@@ -15,6 +15,7 @@ from bellshift import (
     fixed_partitions,
     orbit_decomposition,
 )
+from bellshift.partitions import _rgs_stream, _rotate, _rotation_tables
 
 from conftest import BELL_SMALL
 
@@ -85,6 +86,28 @@ def test_cap_refusal():
         next(enumerate_partitions(0))
     with pytest.raises(ValueError):
         next(enumerate_partitions(3, cap=0))
+
+
+def test_byte_label_bound_is_checked_before_any_work():
+    # labels are bytes, so no cap lets a ground set past 256 be enumerated
+    with pytest.raises(ValueError, match="exceeds 256"):
+        next(enumerate_partitions(257, cap=300))
+    with pytest.raises(ValueError, match="exceeds 256"):
+        count_by_blocks(257, 300)
+    with pytest.raises(ValueError, match="exceeds 256"):
+        orbit_decomposition(257, 300)
+    with pytest.raises(ValueError, match="exceeds 256"):
+        fixed_partitions(PrimePower(257, 1), 300)
+    assert next(enumerate_partitions(256, cap=256)).rgs == (0,) * 256
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_byte_stream_orders_like_the_tuples(n):
+    strings = list(_rgs_stream(n))
+    tuples = [tuple(s) for s in strings]
+    assert tuples == [p.rgs for p in enumerate_partitions(n)]
+    assert strings == sorted(set(strings))
+    assert tuples == sorted(tuples)
 
 
 def test_count_by_blocks_small():
@@ -188,6 +211,25 @@ def test_each_shift_permutes_the_partition_set():
         for y in range(n):
             act = TranslationAction(n, y)
             assert {apply_shift(p, act) for p in everything} == everything
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_rotation_matches_canonical_shift(n):
+    tables = _rotation_tables(n)
+    act = TranslationAction(n, 1 % n)
+    for part in enumerate_partitions(n):
+        assert tuple(_rotate(bytes(part.rgs), tables)) == apply_shift(part, act).rgs
+
+
+@given(set_partitions())
+def test_closed_form_rotation_matches_canonical_shift_sampled(part):
+    rotated = _rotate(bytes(part.rgs), _rotation_tables(part.n))
+    assert tuple(rotated) == apply_shift(part, TranslationAction(part.n, 1 % part.n)).rgs
+
+
+def test_closed_form_rotation_at_the_byte_bound():
+    singletons = bytes(range(256))
+    assert _rotate(singletons, _rotation_tables(256)) == singletons
 
 
 # ------------------------------------------------------------------ orbits
