@@ -11,17 +11,17 @@ from bellshift import bell_from_stirling, build_bell_binomial, build_stirling
 
 tri = build_stirling(8)
 print("Stirling triangle, rows 0..8 (k = 0..n):")
-for n, row in enumerate(tri.rows):
+for n, row in enumerate(tri):
     print(f"  n={n}: {list(row)}")
 
 bell = build_bell_binomial(20)
 print("\nBell numbers from the binomial recurrence:")
-print(" ", list(bell.values[:11]))
+print(" ", list(bell[:11]))
 
 print("\nRow sums of the triangle give the same sequence:")
 print(" ", [bell_from_stirling(tri, n) for n in range(9)])
 
 big = build_bell_binomial(100)
 print(f"\nThe tables are exact at any depth: B_100 has "
-      f"{len(str(big.values[100]))} digits,")
-print(f"  B_100 = {big.values[100]}")
+      f"{len(str(big[100]))} digits,")
+print(f"  B_100 = {big[100]}")

@@ -27,11 +27,11 @@ binom = build_binomials(10)
 
 print("Coefficients (ascending) from the closed form:")
 for j in range(6):
-    print(f"  P_{j}: {list(shift_poly_closed(j, bell, binom).coeffs)}")
+    print(f"  P_{j}: {list(shift_poly_closed(j, bell, binom))}")
 
 print("\nSame family from the recurrence P_{j+1}(x) = P_j(x+1) + x P_j(x):")
 for j in range(6):
-    print(f"  P_{j}: {list(shift_poly_recursive(j).coeffs)}")
+    print(f"  P_{j}: {list(shift_poly_recursive(j))}")
 
 p5 = shift_poly_recursive(5)
 print(f"\nSpecial values: P_5(0) = {eval_poly(p5, 0)} = B_5, "
@@ -42,4 +42,4 @@ print("\nShifting the Bell sequence through the Stirling rows:")
 for n, j in [(1, 0), (3, 2), (2, 5), (10, 5)]:
     poly = shift_poly_recursive(j)
     got = bell_shift(n, j, tri, poly)
-    print(f"  sum_k P_{j}(k) {{{n}, k}} = {got}  (B_{n + j} = {bell.values[n + j]})")
+    print(f"  sum_k P_{j}(k) {{{n}, k}} = {got}  (B_{n + j} = {bell[n + j]})")

@@ -46,7 +46,7 @@ for p in (2, 3, 5, 7, 11, 13):
           f"{len(report.counterexamples)}")
 
 p = 7
-seeds = tuple(bell.values[i] % p for i in range(p))
+seeds = tuple(b % p for b in bell[:p])
 stream = bell_mod_p_stream(p, 50_000, seeds)
 print(f"\nStreaming B_n mod {p} from seeds {seeds}:")
 print(f"  first 20 residues: {stream[:20]}")

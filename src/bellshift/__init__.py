@@ -3,9 +3,11 @@
 The package has four layers:
 
 * :mod:`bellshift.exact` -- arbitrary-precision Pascal, Stirling, and
-  Bell tables built from their defining recurrences;
+  Bell tables built from their defining recurrences, returned as plain
+  tuples (``bell[n]`` is B_n, ``tri[n][k]`` is {n brace k});
 * :mod:`bellshift.shiftpoly` -- the shift polynomials behind
-  B_{n+j} = sum_k P_j(k) {n brace k}, built two independent ways;
+  B_{n+j} = sum_k P_j(k) {n brace k}, built two independent ways and
+  returned as tuples of ascending coefficients;
 * :mod:`bellshift.modular` -- everything mod p: the two-term reduction
   of P_{p^m}, the residue B_{p^m} = m+1, Touchard's congruence, and a
   streaming B_n mod p generator;
@@ -16,9 +18,6 @@ The command-line entry point lives in :mod:`bellshift.cli`.
 """
 
 from .exact import (
-    BellTable,
-    BinomialTable,
-    StirlingTriangle,
     bell_from_stirling,
     build_bell_binomial,
     build_binomials,
@@ -49,7 +48,6 @@ from .partitions import (
     orbit_decomposition,
 )
 from .shiftpoly import (
-    ShiftPolynomial,
     bell_shift,
     eval_poly,
     shift_poly_closed,
@@ -59,15 +57,11 @@ from .shiftpoly import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellTable",
-    "BinomialTable",
-    "StirlingTriangle",
     "bell_from_stirling",
     "build_bell_binomial",
     "build_binomials",
     "build_stirling",
     "stirling_rows",
-    "ShiftPolynomial",
     "bell_shift",
     "eval_poly",
     "shift_poly_closed",

@@ -35,7 +35,13 @@ import os
 import sys
 
 from .exact import build_bell_binomial, build_binomials, build_stirling, stirling_rows
-from .modular import PrimePower, bell_mod_p_stream, bell_prime_power_residue, touchard_check
+from .modular import (
+    PrimePower,
+    bell_mod_p_stream,
+    bell_prime_power_residue,
+    reduce_shift_poly,
+    touchard_check,
+)
 from .partitions import DEFAULT_ENUMERATION_CAP, MAX_GROUND_SET, orbit_decomposition
 from .shiftpoly import shift_poly_closed, shift_poly_recursive
 
@@ -122,16 +128,9 @@ def cmd_bell(ns: argparse.Namespace) -> int:
     if ns.cross_check:
         for n, row in enumerate(stirling_rows(ns.n_max)):
             other = sum(row)
-            if other != table.values[n]:
-                return _counterexample(
-                    f"recurrences disagree at n={n}: {table.values[n]} != {other}"
-                )
-    _emit(
-        ("n", "bell"),
-        ((n, table.values[n]) for n in range(ns.n_max + 1)),
-        ns.format,
-        frozenset({"bell"}),
-    )
+            if other != table[n]:
+                return _counterexample(f"recurrences disagree at n={n}: {table[n]} != {other}")
+    _emit(("n", "bell"), enumerate(table), ns.format, frozenset({"bell"}))
     return EXIT_OK
 
 
@@ -140,11 +139,7 @@ def cmd_stirling(ns: argparse.Namespace) -> int:
     tri = build_stirling(ns.n_max)
     _emit(
         ("n", "k", "value"),
-        (
-            (n, k, tri.rows[n][k])
-            for n in range(ns.n_max + 1)
-            for k in range(n + 1)
-        ),
+        ((n, k, value) for n, row in enumerate(tri) for k, value in enumerate(row)),
         ns.format,
         frozenset({"value"}),
     )
@@ -158,19 +153,14 @@ def cmd_shift_poly(ns: argparse.Namespace) -> int:
         recursive = shift_poly_recursive(ns.j)
         _emit(
             ("r", "closed", "recursive"),
-            zip(range(ns.j + 1), closed.coeffs, recursive.coeffs),
+            zip(range(ns.j + 1), closed, recursive),
             ns.format,
             frozenset({"closed", "recursive"}),
         )
-        if closed.coeffs != recursive.coeffs:
+        if closed != recursive:
             return _counterexample(f"construction paths disagree for shift {ns.j}")
         return EXIT_OK
-    _emit(
-        ("r", "coefficient"),
-        enumerate(closed.coeffs),
-        ns.format,
-        frozenset({"coefficient"}),
-    )
+    _emit(("r", "coefficient"), enumerate(closed), ns.format, frozenset({"coefficient"}))
     return EXIT_OK
 
 
@@ -186,7 +176,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     bell = build_bell_binomial(ns.n_hi + pp.value)
     report = touchard_check(pp, ns.n_lo, ns.n_hi, bell)
     predicted = bell_prime_power_residue(pp)
-    actual = bell.values[pp.value] % pp.p
+    actual = reduce_shift_poly(pp, bell)
     rows = [
         ("p", pp.p),
         ("m", pp.m),
@@ -251,10 +241,10 @@ def cmd_bell_mod(ns: argparse.Namespace) -> int:
         _need_depth(ns, p - 1, f"bell-mod {p} seeds")
         exact_to = p - 1
     bell = build_bell_binomial(exact_to)
-    stream = bell_mod_p_stream(p, ns.n_max, [bell.values[i] % p for i in range(p)])
+    stream = bell_mod_p_stream(p, ns.n_max, [b % p for b in bell[:p]])
     if ns.cross_check:
         for n in range(ns.n_max + 1):
-            expect = bell.values[n] % p
+            expect = bell[n] % p
             if stream[n] != expect:
                 return _counterexample(
                     f"stream disagrees with exact reduction at n={n}: {stream[n]} != {expect}"

@@ -1,8 +1,17 @@
 """Exact Pascal, Stirling, and Bell tables.
 
 Everything here is plain Python integer arithmetic, so there is no
-overflow anywhere.  Tables are built eagerly row by row and are immutable
-afterwards; reads are safe from any number of threads.
+overflow anywhere.  Tables are built eagerly row by row and returned as
+plain tuples, immutable afterwards, so reads are safe from any number of
+threads:
+
+* ``build_bell_binomial(n)`` returns ``(B_0, ..., B_n)``;
+* ``build_stirling(n)`` returns rows ``0..n`` with ``tri[n][k]`` equal
+  to {n brace k} for ``0 <= k <= n``;
+* ``build_binomials(n)`` returns rows ``0..n`` with ``binom[n][k]``
+  equal to C(n, k) for ``0 <= k <= n``.
+
+A table's depth is its length: a table reaches index ``len(t) - 1``.
 
 Conventions pinned once and used everywhere:
 
@@ -29,14 +38,10 @@ addition.  The Stirling triangle is streamed row by row by
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
 
 __all__ = [
-    "BinomialTable",
-    "StirlingTriangle",
-    "BellTable",
     "build_binomials",
     "stirling_rows",
     "build_stirling",
@@ -45,53 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BinomialTable:
-    """Pascal triangle rows[n][k] = C(n, k) for 0 <= k <= n <= max_row."""
-
-    max_row: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def choose(self, n: int, k: int) -> int:
-        """C(n, k), with the usual value 0 when k is outside [0, n]."""
-        if not 0 <= n <= self.max_row:
-            raise ValueError(f"row {n} not in table (max_row={self.max_row})")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-
-@dataclass(frozen=True)
-class StirlingTriangle:
-    """rows[n][k] = {n brace k}, the number of partitions of an n-set into
-    exactly k nonempty blocks, for 0 <= k <= n <= max_row."""
-
-    max_row: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def value(self, n: int, k: int) -> int:
-        """{n brace k}, with the usual value 0 when k is outside [0, n]."""
-        if not 0 <= n <= self.max_row:
-            raise ValueError(f"row {n} not in triangle (max_row={self.max_row})")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-
-@dataclass(frozen=True)
-class BellTable:
-    """values[n] = B_n, the number of partitions of an n-set, for n <= max_index."""
-
-    max_index: int
-    values: tuple[int, ...]
-
-    def value(self, n: int) -> int:
-        if not 0 <= n <= self.max_index:
-            raise ValueError(f"index {n} not in table (max_index={self.max_index})")
-        return self.values[n]
-
-
-def build_binomials(n_max: int) -> BinomialTable:
+def build_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
     """Pascal triangle through row ``n_max`` by the additive recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -99,7 +58,7 @@ def build_binomials(n_max: int) -> BinomialTable:
     for n in range(n_max):
         prev = rows[n]
         rows.append((1, *(prev[k - 1] + prev[k] for k in range(1, n + 1)), 1))
-    return BinomialTable(n_max, tuple(rows))
+    return tuple(rows)
 
 
 def stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
@@ -116,12 +75,12 @@ def stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def build_stirling(n_max: int) -> StirlingTriangle:
+def build_stirling(n_max: int) -> tuple[tuple[int, ...], ...]:
     """Stirling triangle through row ``n_max``, the rows of ``stirling_rows``."""
-    return StirlingTriangle(n_max, tuple(stirling_rows(n_max)))
+    return tuple(stirling_rows(n_max))
 
 
-def build_bell_binomial(n_max: int) -> BellTable:
+def build_bell_binomial(n_max: int) -> tuple[int, ...]:
     """Bell numbers B_0..B_{n_max}: the binomial convolution
     B_{n+1} = sum_d B_d * C(n, n-d), evaluated by Aitken's Bell triangle.
 
@@ -140,13 +99,13 @@ def build_bell_binomial(n_max: int) -> BellTable:
     for _ in range(n_max):
         row = list(accumulate(row, initial=row[-1]))
         values.append(row[0])
-    return BellTable(n_max, tuple(values))
+    return tuple(values)
 
 
-def bell_from_stirling(tri: StirlingTriangle, n: int) -> int:
+def bell_from_stirling(tri: tuple[tuple[int, ...], ...], n: int) -> int:
     """B_n as the row sum of the Stirling triangle; B_0 = 1 by convention."""
-    if not 0 <= n <= tri.max_row:
-        raise ValueError(f"index {n} not in triangle (max_row={tri.max_row})")
+    if not 0 <= n < len(tri):
+        raise ValueError(f"index {n} not in triangle (rows 0..{len(tri) - 1})")
     if n == 0:
         return 1
-    return sum(tri.rows[n][1:])
+    return sum(tri[n][1:])

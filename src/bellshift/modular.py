@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import BellTable, BinomialTable
-
 __all__ = [
     "PrimePower",
     "CongruenceReport",
@@ -109,7 +107,7 @@ class CongruenceReport:
         return not self.counterexamples
 
 
-def reduce_shift_poly(pp: PrimePower, bell: BellTable) -> int:
+def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     """Collapse P_{p^m} mod p to its two surviving terms and return the
     constant, the residue of B_{p^m}; the k-coefficient is 1.
 
@@ -119,14 +117,14 @@ def reduce_shift_poly(pp: PrimePower, bell: BellTable) -> int:
     the top term k^{p^m} reduces to k by Fermat.  What survives is the
     constant B_{p^m} mod p plus k.
     """
-    if bell.max_index < pp.value:
+    if len(bell) <= pp.value:
         raise ValueError(
-            f"Bell table too shallow: need index {pp.value}, have {bell.max_index}"
+            f"Bell table too shallow: need index {pp.value}, have {len(bell) - 1}"
         )
-    return bell.values[pp.value] % pp.p
+    return bell[pp.value] % pp.p
 
 
-def binomial_vanishing_check(pp: PrimePower, binom: BinomialTable) -> bool:
+def binomial_vanishing_check(pp: PrimePower, binom: tuple[tuple[int, ...], ...]) -> bool:
     """True iff C(p^m, r) = 0 mod p for every 0 < r < p^m.
 
     This is the divisibility fact behind the two-term reduction; the
@@ -134,9 +132,9 @@ def binomial_vanishing_check(pp: PrimePower, binom: BinomialTable) -> bool:
     power in range, including all powers of 2.
     """
     n = pp.value
-    if binom.max_row < n:
-        raise ValueError(f"Pascal table too shallow: need row {n}, have {binom.max_row}")
-    row = binom.rows[n]
+    if len(binom) <= n:
+        raise ValueError(f"Pascal table too shallow: need row {n}, have {len(binom) - 1}")
+    row = binom[n]
     return all(row[r] % pp.p == 0 for r in range(1, n))
 
 
@@ -151,23 +149,22 @@ def bell_prime_power_residue(pp: PrimePower) -> int:
 
 
 def touchard_check(
-    pp: PrimePower, n_lo: int, n_hi: int, bell: BellTable
+    pp: PrimePower, n_lo: int, n_hi: int, bell: tuple[int, ...]
 ) -> CongruenceReport:
     """Sweep B_{n+p^m} = m*B_n + B_{n+1} (mod p) over n in [n_lo, n_hi]."""
     if n_lo < 1:
         raise ValueError("n_lo must be >= 1")
     if n_lo > n_hi:
         raise ValueError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
-    if bell.max_index < n_hi + pp.value:
+    if len(bell) <= n_hi + pp.value:
         raise ValueError(
-            f"Bell table too shallow: need index {n_hi + pp.value}, "
-            f"have {bell.max_index}"
+            f"Bell table too shallow: need index {n_hi + pp.value}, have {len(bell) - 1}"
         )
     p, m, q = pp.p, pp.m, pp.value
     bad = []
     for n in range(n_lo, n_hi + 1):
-        lhs = bell.values[n + q] % p
-        rhs = (m * bell.values[n] + bell.values[n + 1]) % p
+        lhs = bell[n + q] % p
+        rhs = (m * bell[n] + bell[n + 1]) % p
         if lhs != rhs:
             bad.append((n, lhs, rhs))
     return CongruenceReport(pp, n_lo, n_hi, n_hi - n_lo + 1, tuple(bad))

@@ -17,20 +17,19 @@ The two paths must agree coefficient by coefficient, which is what makes
 each a meaningful check on the other.  j = 0 is admitted as the identity
 shift (P_0 = 1) even though the identity is mainly of interest for j >= 1.
 
-Coefficients are stored in ascending degree order: that is the natural
-order both for Horner evaluation and for the Taylor shift that expands
-P_j(x+1).
+Both constructions return P_j as the plain tuple of its j + 1
+coefficients in ascending degree order, so ``poly[r]`` multiplies x^r and
+``len(poly) - 1`` is the shift j.  The polynomial is monic of degree
+exactly j (the top coefficient is B_0 = 1) and its constant term is B_j.
+Ascending order is the natural one for Horner evaluation; the Taylor
+shift that expands P_j(x+1) works on a descending copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .exact import BellTable, BinomialTable, StirlingTriangle
-
 __all__ = [
-    "ShiftPolynomial",
     "shift_poly_closed",
     "shift_poly_recursive",
     "eval_poly",
@@ -38,42 +37,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShiftPolynomial:
-    """Coefficients of P_j in ascending degree order; coeffs[r] multiplies x^r.
-
-    Always monic of degree exactly j (the top coefficient is B_0 = 1),
-    with constant term B_j.
-    """
-
-    j: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.j < 0:
-            raise ValueError("shift j must be >= 0")
-        if len(self.coeffs) != self.j + 1:
-            raise ValueError(
-                f"expected {self.j + 1} coefficients for shift {self.j}, "
-                f"got {len(self.coeffs)}"
-            )
-
-
-def shift_poly_closed(j: int, bell: BellTable, binom: BinomialTable) -> ShiftPolynomial:
+def shift_poly_closed(
+    j: int, bell: tuple[int, ...], binom: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
     """P_j from the closed form: coefficient of x^r is B_{j-r} * C(j, r)."""
     if j < 0:
         raise ValueError("shift j must be >= 0")
-    if bell.max_index < j:
-        raise ValueError(f"Bell table too shallow: need index {j}, have {bell.max_index}")
-    if binom.max_row < j:
-        raise ValueError(f"Pascal table too shallow: need row {j}, have {binom.max_row}")
-    row = binom.rows[j]
-    return ShiftPolynomial(
-        j, tuple(bell.values[j - r] * row[r] for r in range(j + 1))
-    )
+    if len(bell) <= j:
+        raise ValueError(f"Bell table too shallow: need index {j}, have {len(bell) - 1}")
+    if len(binom) <= j:
+        raise ValueError(f"Pascal table too shallow: need row {j}, have {len(binom) - 1}")
+    row = binom[j]
+    return tuple(bell[j - r] * row[r] for r in range(j + 1))
 
 
-def shift_poly_recursive(j: int) -> ShiftPolynomial:
+def shift_poly_recursive(j: int) -> tuple[int, ...]:
     """P_j by iterating P_{j+1}(x) = P_j(x+1) + x * P_j(x) from P_0 = 1.
 
     P(x+1) is expanded by the Ruffini/Horner Taylor shift on the
@@ -95,18 +73,21 @@ def shift_poly_recursive(j: int) -> ShiftPolynomial:
             shifted[:m] = accumulate(shifted[:m])
         # P(x+1) + x * P(x)
         desc = [a + b for a, b in zip([0, *shifted], desc + [0])]
-    return ShiftPolynomial(j, tuple(reversed(desc)))
+    return tuple(reversed(desc))
 
 
-def eval_poly(poly: ShiftPolynomial, x: int) -> int:
-    """Exact Horner evaluation of ``poly`` at the integer ``x``."""
+def eval_poly(poly: tuple[int, ...], x: int) -> int:
+    """Exact Horner evaluation at the integer ``x`` of the polynomial whose
+    ascending coefficients are ``poly``."""
     acc = 0
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         acc = acc * x + c
     return acc
 
 
-def bell_shift(n: int, j: int, tri: StirlingTriangle, poly: ShiftPolynomial) -> int:
+def bell_shift(
+    n: int, j: int, tri: tuple[tuple[int, ...], ...], poly: tuple[int, ...]
+) -> int:
     """B_{n+j} via sum_{k=1}^{n} P_j(k) * {n brace k}.
 
     ``poly`` must be the shift polynomial for this ``j``; the Stirling
@@ -114,9 +95,11 @@ def bell_shift(n: int, j: int, tri: StirlingTriangle, poly: ShiftPolynomial) -> 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if poly.j != j:
-        raise ValueError(f"polynomial is for shift {poly.j}, not {j}")
-    if tri.max_row < n:
-        raise ValueError(f"Stirling triangle too shallow: need row {n}, have {tri.max_row}")
-    row = tri.rows[n]
+    if j < 0:
+        raise ValueError("shift j must be >= 0")
+    if len(poly) != j + 1:
+        raise ValueError(f"polynomial is for shift {len(poly) - 1}, not {j}")
+    if len(tri) <= n:
+        raise ValueError(f"Stirling triangle too shallow: need row {n}, have {len(tri) - 1}")
+    row = tri[n]
     return sum(eval_poly(poly, k) * row[k] for k in range(1, n + 1))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bellshift import CongruenceReport, PrimePower, ShiftPolynomial
+from bellshift import CongruenceReport, PrimePower
 from bellshift import cli
 
 from conftest import BELL_SMALL
@@ -363,9 +363,7 @@ def test_forced_cross_recurrence_mismatch_exits_one(monkeypatch, capsys):
 
 
 def test_forced_construction_mismatch_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(
-        cli, "shift_poly_recursive", lambda j: ShiftPolynomial(j, (9,) * (j + 1))
-    )
+    monkeypatch.setattr(cli, "shift_poly_recursive", lambda j: (9,) * (j + 1))
     assert cli.main(["shift-poly", "2", "--check-recursive"]) == 1
     assert "paths disagree" in capsys.readouterr().err
 

@@ -1,14 +1,17 @@
-"""Each narrative demo runs to completion and prints something."""
+"""Each narrative demo runs to completion and prints something, and the
+README quick start runs as written."""
 
 from __future__ import annotations
 
+import doctest
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("[0-9][0-9]_*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
 def test_all_four_demos_are_found():
@@ -20,3 +23,9 @@ def test_demo_runs(demo):
     res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip()
+
+
+def test_readme_quick_start():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -70,10 +70,11 @@ def test_reduce_examples(bell300):
     assert reduce_shift_poly(PrimePower(5, 1), bell300) == 2  # B_5 = 52
 
 
-def test_reduce_requires_deep_table():
-    shallow = build_bell_binomial(6)
-    with pytest.raises(ValueError, match="too shallow"):
-        reduce_shift_poly(PrimePower(7, 1), shallow)
+def test_reduce_requires_deep_table(bell300):
+    # a deep table sliced to index 6 is as shallow as a built one
+    for shallow in (build_bell_binomial(6), bell300[:7]):
+        with pytest.raises(ValueError, match="too shallow"):
+            reduce_shift_poly(PrimePower(7, 1), shallow)
 
 
 def test_residue_examples():
@@ -117,17 +118,18 @@ def test_binomial_vanishing_all_prime_powers_in_range(binom300):
         assert binomial_vanishing_check(PrimePower(2, m), binom300)
 
 
-def test_binomial_vanishing_requires_deep_table():
-    shallow = build_binomials(10)
-    with pytest.raises(ValueError, match="too shallow"):
-        binomial_vanishing_check(PrimePower(11, 1), shallow)
+def test_binomial_vanishing_requires_deep_table(binom300):
+    # a deep table sliced to row 10 is as shallow as a built one
+    for shallow in (build_binomials(10), binom300[:11]):
+        with pytest.raises(ValueError, match="too shallow"):
+            binomial_vanishing_check(PrimePower(11, 1), shallow)
 
 
 def test_divisibility_is_special_to_prime_powers(binom300):
     # Row 6 fails for p = 2 (C(6,2) = 15 is odd) and row 10 for p = 5,
     # so the all-interior divisibility really does need a prime power.
-    assert binom300.choose(6, 2) % 2 == 1
-    assert binom300.choose(10, 5) % 5 != 0
+    assert binom300[6][2] % 2 == 1
+    assert binom300[10][5] % 5 != 0
 
 
 # ------------------------------------------------------------ the congruence
@@ -147,9 +149,11 @@ def test_touchard_validation(bell300):
         touchard_check(PrimePower(2, 1), 0, 5, bell300)
     with pytest.raises(ValueError, match="empty range"):
         touchard_check(PrimePower(2, 1), 5, 4, bell300)
-    shallow = build_bell_binomial(20)
-    with pytest.raises(ValueError, match="too shallow"):
-        touchard_check(PrimePower(3, 2), 1, 100, shallow)
+    # a deep table sliced to index 108, one short of B_{100+9}, is as
+    # shallow as a built one
+    for shallow in (build_bell_binomial(20), bell300[:109]):
+        with pytest.raises(ValueError, match="too shallow"):
+            touchard_check(PrimePower(3, 2), 1, 100, shallow)
 
 
 def test_report_ok_flips_on_counterexamples():
@@ -170,9 +174,9 @@ def test_stream_small_primes():
 
 def test_stream_matches_exact_table(bell300):
     for p in (2, 3, 5, 7):
-        seeds = tuple(bell300.values[i] % p for i in range(p))
+        seeds = tuple(b % p for b in bell300[:p])
         stream = bell_mod_p_stream(p, 200, seeds)
-        assert stream == [bell300.values[n] % p for n in range(201)]
+        assert stream == [b % p for b in bell300[:201]]
 
 
 def test_stream_validation():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellshift import (
-    ShiftPolynomial,
     bell_shift,
     build_bell_binomial,
     build_binomials,
@@ -21,21 +20,21 @@ from conftest import BELL_SMALL
 
 
 def test_closed_form_small(bell300, binom300):
-    assert shift_poly_closed(0, bell300, binom300).coeffs == (1,)
-    assert shift_poly_closed(1, bell300, binom300).coeffs == (1, 1)
-    assert shift_poly_closed(5, bell300, binom300).coeffs == (52, 75, 50, 20, 5, 1)
+    assert shift_poly_closed(0, bell300, binom300) == (1,)
+    assert shift_poly_closed(1, bell300, binom300) == (1, 1)
+    assert shift_poly_closed(5, bell300, binom300) == (52, 75, 50, 20, 5, 1)
 
 
 def test_closed_form_coefficient_structure(bell300, binom300):
     # Leading coefficient is always 1, constant term is the Bell number.
     for j in range(0, 25):
         poly = shift_poly_closed(j, bell300, binom300)
-        assert poly.j == j
-        assert poly.coeffs[-1] == 1
-        assert poly.coeffs[0] == bell300.values[j]
+        assert len(poly) == j + 1
+        assert poly[-1] == 1
+        assert poly[0] == bell300[j]
 
 
-def test_closed_form_depth_errors():
+def test_closed_form_depth_errors(bell300, binom300):
     shallow_bell = build_bell_binomial(3)
     shallow_binom = build_binomials(3)
     with pytest.raises(ValueError):
@@ -44,16 +43,21 @@ def test_closed_form_depth_errors():
         shift_poly_closed(4, build_bell_binomial(10), shallow_binom)
     with pytest.raises(ValueError):
         shift_poly_closed(-1, shallow_bell, shallow_binom)
+    # a deep table sliced to index 3 is as shallow as a built one
+    with pytest.raises(ValueError):
+        shift_poly_closed(4, bell300[:4], binom300)
+    with pytest.raises(ValueError):
+        shift_poly_closed(4, bell300, binom300[:4])
 
 
 # ----------------------------------------------------------------- recurrence
 
 
 def test_recursive_small():
-    assert shift_poly_recursive(0).coeffs == (1,)
-    assert shift_poly_recursive(1).coeffs == (1, 1)
-    assert shift_poly_recursive(2).coeffs == (2, 2, 1)
-    assert shift_poly_recursive(5).coeffs == (52, 75, 50, 20, 5, 1)
+    assert shift_poly_recursive(0) == (1,)
+    assert shift_poly_recursive(1) == (1, 1)
+    assert shift_poly_recursive(2) == (2, 2, 1)
+    assert shift_poly_recursive(5) == (52, 75, 50, 20, 5, 1)
 
 
 def test_recursive_rejects_negative():
@@ -81,16 +85,8 @@ def test_eval_examples():
     x=st.integers(min_value=-20, max_value=20),
 )
 def test_eval_matches_naive_power_sum(coeffs, x):
-    poly = ShiftPolynomial(len(coeffs) - 1, tuple(coeffs))
     naive = sum(c * x**r for r, c in enumerate(coeffs))
-    assert eval_poly(poly, x) == naive
-
-
-def test_polynomial_validation():
-    with pytest.raises(ValueError):
-        ShiftPolynomial(-1, ())
-    with pytest.raises(ValueError):
-        ShiftPolynomial(2, (1, 1))
+    assert eval_poly(tuple(coeffs), x) == naive
 
 
 # --------------------------------------------------------------- shift identity
@@ -107,21 +103,21 @@ def test_bell_shift_degenerate_j_zero(stirling50, bell300):
     # With a trivial shift the identity collapses to the Stirling row sum.
     p0 = shift_poly_recursive(0)
     for n in range(1, 31):
-        assert bell_shift(n, 0, stirling50, p0) == bell300.values[n]
+        assert bell_shift(n, 0, stirling50, p0) == bell300[n]
 
 
 def test_bell_shift_one_step(stirling50, bell300):
     p1 = shift_poly_recursive(1)
     for n in range(1, 31):
-        assert bell_shift(n, 1, stirling50, p1) == bell300.values[n + 1]
+        assert bell_shift(n, 1, stirling50, p1) == bell300[n + 1]
 
 
 def test_specializations_give_consecutive_bell_numbers(bell300):
     # Value at 0 recovers the constant term, value at 1 sums the coefficients.
     for j in range(0, 61):
         poly = shift_poly_recursive(j)
-        assert eval_poly(poly, 0) == bell300.values[j]
-        assert eval_poly(poly, 1) == bell300.values[j + 1]
+        assert eval_poly(poly, 0) == bell300[j]
+        assert eval_poly(poly, 1) == bell300[j + 1]
 
 
 def test_bell_shift_validation(stirling50):
@@ -130,9 +126,12 @@ def test_bell_shift_validation(stirling50):
         bell_shift(0, 2, stirling50, p2)
     with pytest.raises(ValueError):
         bell_shift(3, 1, stirling50, p2)
-    shallow = build_stirling(4)
     with pytest.raises(ValueError):
-        bell_shift(5, 2, shallow, p2)
+        bell_shift(1, -1, stirling50, ())
+    # a deep triangle sliced to rows 0..4 is as shallow as a built one
+    for shallow in (build_stirling(4), stirling50[:5]):
+        with pytest.raises(ValueError):
+            bell_shift(5, 2, shallow, p2)
 
 
 def test_shift_identity_against_small_bell_values(stirling50):
