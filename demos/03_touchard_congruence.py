@@ -47,7 +47,7 @@ for p in (2, 3, 5, 7, 11, 13):
 
 p = 7
 seeds = tuple(b % p for b in bell[:p])
-stream = bell_mod_p_stream(p, 50_000, seeds)
+stream = list(bell_mod_p_stream(p, 50_000, seeds))
 print(f"\nStreaming B_n mod {p} from seeds {seeds}:")
 print(f"  first 20 residues: {stream[:20]}")
 print(f"  B_50000 mod {p} = {stream[50_000]} (no big integer was built)")

@@ -33,6 +33,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 
 from .exact import build_bell_binomial, build_binomials, build_stirling, stirling_rows
 from .modular import (
@@ -61,15 +63,54 @@ class UsageError(Exception):
     pass
 
 
-def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozenset()) -> None:
+# rows per write: enough to batch short rows, few enough that wide rows (a
+# Bell number runs to thousands of digits) barely raise the peak memory
+_CHUNK_ROWS = 64
+
+
+def _json_value(v: object) -> object:
+    """``v`` as ``json.dumps`` writes it; an int is left for the line
+    template to render, which gives the same digits."""
+    if type(v) is int:
+        return v
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    return json.dumps(v)
+
+
+def _json_big(v: object) -> str:
+    return encode_basestring_ascii(str(v))
+
+
+def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozenset()) -> int:
+    """Write ``rows`` to stdout and return how many were written.
+
+    This is the one writer of stdout.  TSV starts with a ``#``-prefixed
+    header line and writes each value as ``str(v)``.  A json-lines row
+    is byte for byte ``json.dumps`` of the dict from ``fields`` to the
+    row, with each field in ``big`` replaced by its ``str()``, so a big
+    integer becomes a decimal string.  Rows are formatted through one
+    line template per format, ``_CHUNK_ROWS`` at a time, and each chunk
+    is a single write; ``rows`` may be any iterable and is consumed once.
+    """
     if fmt == "tsv":
-        print("#" + "\t".join(fields))
-        for row in rows:
-            print("\t".join(str(v) for v in row))
+        sys.stdout.write("#" + "\t".join(fields) + "\n")
+        line = "\t".join(["{}"] * len(fields)) + "\n"
+        values = chain.from_iterable
     else:
-        for row in rows:
-            obj = {f: str(v) if f in big else v for f, v in zip(fields, row)}
-            print(json.dumps(obj))
+        keys = (encode_basestring_ascii(f) + ": {}" for f in fields)
+        line = "{{" + ", ".join(keys) + "}}\n"
+        convert = [_json_big if f in big else _json_value for f in fields]
+
+        def values(chunk):
+            return [c(v) for row in chunk for c, v in zip(convert, row)]
+
+    count = 0
+    it = iter(rows)
+    while chunk := list(islice(it, _CHUNK_ROWS)):
+        sys.stdout.write((line * len(chunk)).format(*values(chunk)))
+        count += len(chunk)
+    return count
 
 
 def _counterexample(msg: str) -> int:
@@ -241,15 +282,16 @@ def cmd_bell_mod(ns: argparse.Namespace) -> int:
         _need_depth(ns, p - 1, f"bell-mod {p} seeds")
         exact_to = p - 1
     bell = build_bell_binomial(exact_to)
-    stream = bell_mod_p_stream(p, ns.n_max, [b % p for b in bell[:p]])
+    residues = bell_mod_p_stream(p, ns.n_max, [b % p for b in bell[:p]])
     if ns.cross_check:
-        for n in range(ns.n_max + 1):
-            expect = bell[n] % p
-            if stream[n] != expect:
+        # the exact table already holds N+1 values, so the residues may too
+        residues = list(residues)
+        for n, (got, b) in enumerate(zip(residues, bell, strict=True)):
+            if got != b % p:
                 return _counterexample(
-                    f"stream disagrees with exact reduction at n={n}: {stream[n]} != {expect}"
+                    f"stream disagrees with exact reduction at n={n}: {got} != {b % p}"
                 )
-    _emit(("n", "residue"), enumerate(stream), ns.format)
+    _emit(("n", "residue"), enumerate(residues), ns.format)
     return EXIT_OK
 
 

@@ -8,8 +8,10 @@ Everything mod-p in one place:
 * the residue identity B_{p^m} = m+1 (mod p);
 * Touchard's congruence B_{n+p^m} = m*B_n + B_{n+1} (mod p), swept over
   a range of n with every mismatch reported;
-* a fast streaming generator of B_n mod p from the m = 1 case,
-  B_{n+p} = B_n + B_{n+1} (mod p), seeded from the exact table.
+* a lazy stream of B_n mod p from the m = 1 case,
+  B_{n+p} = B_n + B_{n+1} (mod p), seeded from the exact table; it
+  keeps only the last p residues plus one refill block, so its memory
+  is O(p) however far it runs.
 
 Residue arithmetic is word-sized: exact big integers are reduced once at
 the boundary, and p is bounded so p*p fits a machine word.  Primality of
@@ -19,6 +21,7 @@ composite p would silently invalidate every congruence downstream.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -35,6 +38,9 @@ __all__ = [
 
 # p*p must fit in a signed 64-bit word
 _MAX_PRIME = 3_037_000_499
+
+# residues the stream computes per refill; its buffer holds p + _REFILL
+_REFILL = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -170,12 +176,16 @@ def touchard_check(
     return CongruenceReport(pp, n_lo, n_hi, n_hi - n_lo + 1, tuple(bad))
 
 
-def bell_mod_p_stream(p: int, n_max: int, seeds: list[int] | tuple[int, ...]) -> list[int]:
-    """B_0..B_{n_max} mod p by the linear recurrence B_{n+p} = B_n + B_{n+1}.
+def bell_mod_p_stream(p: int, n_max: int, seeds: list[int] | tuple[int, ...]) -> Iterator[int]:
+    """Yield B_0..B_{n_max} mod p by the linear recurrence B_{n+p} = B_n + B_{n+1}.
 
     ``seeds`` must be B_0..B_{p-1} reduced mod p, computed once from an
     exact table; everything past the seed window is word-sized modular
     arithmetic, so the stream extends to large n_max at trivial cost.
+    The arguments are checked when the function is called, before any
+    residue is asked for.  The stream is lazy: it holds the last p
+    residues plus one block of ``_REFILL`` new ones, so its memory is
+    O(p), not O(n_max).
     """
     if p > _MAX_PRIME or not is_prime(p):
         raise ValueError(f"p={p} is not a machine-word-sized prime")
@@ -185,7 +195,18 @@ def bell_mod_p_stream(p: int, n_max: int, seeds: list[int] | tuple[int, ...]) ->
         raise ValueError(f"n_max must be >= p-1 = {p - 1}")
     if any(not 0 <= s < p for s in seeds):
         raise ValueError("seeds must be residues in [0, p)")
-    out = list(seeds)
-    for n in range(p, n_max + 1):
-        out.append((out[n - p] + out[n - p + 1]) % p)
-    return out
+    return _residues(p, n_max, list(seeds))
+
+
+def _residues(p: int, n_max: int, buf: list[int]) -> Iterator[int]:
+    # buf holds B_{n-p}..B_{n-1}; B_{n+i} = buf[i] + buf[i+1], where
+    # buf[i+1] past the window is a residue appended earlier in the block
+    yield from buf
+    left = n_max + 1 - p
+    while left > 0:
+        k = min(_REFILL, left)
+        for i in range(k):
+            buf.append((buf[i] + buf[i + 1]) % p)
+        yield from buf[p:]
+        del buf[:-p]
+        left -= k

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,67 @@ def records(out: str) -> dict[str, str]:
     _, rows = parse_tsv(out)
     assert all(len(r) == 2 for r in rows)
     return dict(rows)
+
+
+# ---------------------------------------------------------------- emission
+
+
+def parent_emit(fields, rows, fmt, big=frozenset()):
+    """One ``print`` per row and ``json.dumps`` per json-lines row: the
+    byte oracle for the batched ``cli._emit``."""
+    if fmt == "tsv":
+        print("#" + "\t".join(fields))
+        for row in rows:
+            print("\t".join(str(v) for v in row))
+    else:
+        for row in rows:
+            obj = {f: str(v) if f in big else v for f, v in zip(fields, row)}
+            print(json.dumps(obj))
+
+
+_AWKWARD = ['say "hi"', "back\\slash", "tab\there", "two\nlines", "caf\u00e9 \u2211 \U0001d539", ""]
+
+
+def mixed_rows(count):
+    for i in range(count):
+        small = (-1) ** i * (i % 7)
+        huge = -(10 ** (20 + i)) if i % 3 else 7 ** (i + 40)
+        label = _AWKWARD[i % len(_AWKWARD)]
+        other = (None, True, 1.5, -3, label)[i % 5]
+        value = label if i % 4 == 1 else huge  # a big field may carry a string
+        yield (small, value, label, other)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("count", [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
+    fields = ("n", "value", "label", "other")
+    big = frozenset({"value"})
+    parent_emit(fields, mixed_rows(count), fmt, big)
+    expected = capsys.readouterr().out
+    assert cli._emit(fields, mixed_rows(count), fmt, big) == count
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_writes_stdout_only_through_emit():
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def writes(node):
+        return isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout.write"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            dest = [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]
+            assert dest == ["sys.stderr"], f"line {node.lineno}: print must go to sys.stderr"
+    writers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if writes(node)
+    ]
+    assert writers and set(writers) == {"_emit"}
+    assert len(writers) == sum(map(writes, ast.walk(tree)))  # none outside a function
 
 
 # ------------------------------------------------------------------- bell
@@ -319,6 +382,21 @@ def test_closed_stdout_exits_141_quietly():
     )
     assert proc.stdout.readline() == b"#n\tresidue\n"
     assert proc.stdout.readline() == b"0\t1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_closed_stdout_mid_wide_rows_exits_141_quietly():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bellshift", "stirling", "300", "--depth", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"#n\tk\tvalue\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from itertools import accumulate, islice
+
 import pytest
 
+from bellshift import modular
 from bellshift import (
     CongruenceReport,
     PrimePower,
@@ -168,14 +171,14 @@ def test_report_ok_flips_on_counterexamples():
 
 
 def test_stream_small_primes():
-    assert bell_mod_p_stream(2, 5, (1, 1)) == [1, 1, 0, 1, 1, 0]
-    assert bell_mod_p_stream(3, 5, (1, 1, 2)) == [1, 1, 2, 2, 0, 1]
+    assert list(bell_mod_p_stream(2, 5, (1, 1))) == [1, 1, 0, 1, 1, 0]
+    assert list(bell_mod_p_stream(3, 5, (1, 1, 2))) == [1, 1, 2, 2, 0, 1]
 
 
 def test_stream_matches_exact_table(bell300):
     for p in (2, 3, 5, 7):
         seeds = tuple(b % p for b in bell300[:p])
-        stream = bell_mod_p_stream(p, 200, seeds)
+        stream = list(bell_mod_p_stream(p, 200, seeds))
         assert stream == [b % p for b in bell300[:201]]
 
 
@@ -188,3 +191,46 @@ def test_stream_validation():
         bell_mod_p_stream(5, 3, (1, 1, 2, 0, 0))
     with pytest.raises(ValueError, match="residues"):
         bell_mod_p_stream(3, 10, (1, 1, 3))
+
+
+# every prime the stream tests below reduce by
+_STREAM_MODULUS = 2 * 3 * 5 * 7 * 11 * 13 * 199
+
+
+@pytest.fixture(scope="module")
+def bell_mod_oracle(bell300):
+    """B_0..B_4999 mod ``_STREAM_MODULUS`` from Aitken's Bell triangle
+    reduced as it is built: an exact reduction that shares nothing with
+    the stream's recurrence, and reaches past the exact table cheaply."""
+    row, out = [1], [1]
+    for _ in range(4999):
+        row = [a % _STREAM_MODULUS for a in accumulate(row, initial=row[-1])]
+        out.append(row[0])
+    assert out[:301] == [b % _STREAM_MODULUS for b in bell300]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_stream_is_lazy(p, bell300, bell_mod_oracle):
+    # an eager stream would build 10**18 residues before the first one
+    seeds = tuple(b % p for b in bell300[:p])
+    head = list(islice(bell_mod_p_stream(p, 10**18, seeds), 5000))
+    assert head == [b % p for b in bell_mod_oracle]
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 199])
+def test_stream_ends_at_window_and_block_edges(p, bell300, bell_mod_oracle):
+    seeds = tuple(b % p for b in bell300[:p])
+    for n in (p - 1, p, p + 1):
+        assert list(bell_mod_p_stream(p, n, seeds)) == [b % p for b in bell300[: n + 1]]
+    refill = modular._REFILL
+    for n in (p - 2 + refill, p - 1 + refill, p + refill):
+        assert list(bell_mod_p_stream(p, n, seeds)) == [b % p for b in bell_mod_oracle[: n + 1]]
+
+
+@pytest.mark.parametrize("refill", [1, 2, 12, 13, 14, 198, 199, 200])
+def test_stream_block_may_be_shorter_or_longer_than_p(monkeypatch, refill, bell300):
+    monkeypatch.setattr(modular, "_REFILL", refill)
+    for p in (2, 3, 13, 199):
+        seeds = tuple(b % p for b in bell300[:p])
+        assert list(bell_mod_p_stream(p, 300, seeds)) == [b % p for b in bell300]
