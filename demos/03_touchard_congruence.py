@@ -17,20 +17,18 @@ from bellshift import (
     bell_mod_p_stream,
     bell_prime_power_residue,
     build_bell_binomial,
-    build_binomials,
     binomial_vanishing_check,
     reduce_shift_poly,
     touchard_check,
 )
 
 bell = build_bell_binomial(300)
-binom = build_binomials(130)
 
 print("Interior Pascal-row divisibility, the engine of the collapse:")
 for p, m in [(2, 3), (3, 2), (5, 1), (11, 2)]:
     pp = PrimePower(p, m)
     print(f"  all C({pp.value}, r) = 0 mod {p} for 0 < r < {pp.value}: "
-          f"{binomial_vanishing_check(pp, binom)}")
+          f"{binomial_vanishing_check(pp)}")
 
 print("\nCollapsed polynomials P_{p^m}(k) = constant + k mod p:")
 for p, m in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]:
@@ -46,8 +44,7 @@ for p in (2, 3, 5, 7, 11, 13):
           f"{len(report.counterexamples)}")
 
 p = 7
-seeds = tuple(b % p for b in bell[:p])
-stream = list(bell_mod_p_stream(p, 50_000, seeds))
-print(f"\nStreaming B_n mod {p} from seeds {seeds}:")
+stream = list(bell_mod_p_stream(p, 50_000))
+print(f"\nStreaming B_n mod {p} from seeds {tuple(stream[:p])}:")
 print(f"  first 20 residues: {stream[:20]}")
 print(f"  B_50000 mod {p} = {stream[50_000]} (no big integer was built)")

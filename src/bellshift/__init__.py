@@ -39,7 +39,6 @@ from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     OrbitSummary,
     SetPartition,
-    TranslationAction,
     apply_shift,
     congruence_class_partition,
     count_by_blocks,
@@ -78,7 +77,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "OrbitSummary",
     "SetPartition",
-    "TranslationAction",
     "apply_shift",
     "congruence_class_partition",
     "count_by_blocks",

@@ -36,7 +36,7 @@ import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
-from .exact import build_bell_binomial, build_binomials, build_stirling, stirling_rows
+from .exact import build_bell_binomial, build_binomials, stirling_rows
 from .modular import (
     PrimePower,
     bell_mod_p_stream,
@@ -177,10 +177,10 @@ def cmd_bell(ns: argparse.Namespace) -> int:
 
 def cmd_stirling(ns: argparse.Namespace) -> int:
     _need_depth(ns, ns.n_max, f"stirling {ns.n_max}")
-    tri = build_stirling(ns.n_max)
+    rows = enumerate(stirling_rows(ns.n_max))  # one row held at a time
     _emit(
         ("n", "k", "value"),
-        ((n, k, value) for n, row in enumerate(tri) for k, value in enumerate(row)),
+        ((n, k, value) for n, row in rows for k, value in enumerate(row)),
         ns.format,
         frozenset({"value"}),
     )
@@ -277,13 +277,12 @@ def cmd_bell_mod(ns: argparse.Namespace) -> int:
         raise UsageError(f"N must be >= p-1 = {p - 1} to cover the seed window")
     if ns.cross_check:
         _need_depth(ns, ns.n_max, f"bell-mod {p} {ns.n_max} --cross-check")
-        exact_to = ns.n_max
     else:
+        # the stream's seed triangle costs O(p^2), so the depth bounds p - 1
         _need_depth(ns, p - 1, f"bell-mod {p} seeds")
-        exact_to = p - 1
-    bell = build_bell_binomial(exact_to)
-    residues = bell_mod_p_stream(p, ns.n_max, [b % p for b in bell[:p]])
+    residues = bell_mod_p_stream(p, ns.n_max)
     if ns.cross_check:
+        bell = build_bell_binomial(ns.n_max)
         # the exact table already holds N+1 values, so the residues may too
         residues = list(residues)
         for n, (got, b) in enumerate(zip(residues, bell, strict=True)):

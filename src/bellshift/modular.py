@@ -9,9 +9,10 @@ Everything mod-p in one place:
 * Touchard's congruence B_{n+p^m} = m*B_n + B_{n+1} (mod p), swept over
   a range of n with every mismatch reported;
 * a lazy stream of B_n mod p from the m = 1 case,
-  B_{n+p} = B_n + B_{n+1} (mod p), seeded from the exact table; it
-  keeps only the last p residues plus one refill block, so its memory
-  is O(p) however far it runs.
+  B_{n+p} = B_n + B_{n+1} (mod p), which seeds itself with B_0..B_{p-1}
+  from Aitken's Bell triangle reduced mod p as it is built; it keeps
+  only the last p residues plus one refill block, so its memory is O(p)
+  however far it runs.
 
 Residue arithmetic is word-sized: exact big integers are reduced once at
 the boundary, and p is bounded so p*p fits a machine word.  Primality of
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
+from math import comb
 
 __all__ = [
     "PrimePower",
@@ -105,8 +108,11 @@ class CongruenceReport:
     pp: PrimePower
     n_lo: int
     n_hi: int
-    checked: int
     counterexamples: tuple[tuple[int, int, int], ...]
+
+    @property
+    def checked(self) -> int:
+        return self.n_hi - self.n_lo + 1
 
     @property
     def ok(self) -> bool:
@@ -130,18 +136,16 @@ def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     return bell[pp.value] % pp.p
 
 
-def binomial_vanishing_check(pp: PrimePower, binom: tuple[tuple[int, ...], ...]) -> bool:
-    """True iff C(p^m, r) = 0 mod p for every 0 < r < p^m.
+def binomial_vanishing_check(pp: PrimePower) -> bool:
+    """True iff C(p^m, r) = 0 mod p for every 0 < r < p^m, read from
+    ``math.comb``.
 
     This is the divisibility fact behind the two-term reduction; the
     predicate is exposed so tests can verify it directly for every prime
     power in range, including all powers of 2.
     """
     n = pp.value
-    if len(binom) <= n:
-        raise ValueError(f"Pascal table too shallow: need row {n}, have {len(binom) - 1}")
-    row = binom[n]
-    return all(row[r] % pp.p == 0 for r in range(1, n))
+    return all(comb(n, r) % pp.p == 0 for r in range(1, n))
 
 
 def bell_prime_power_residue(pp: PrimePower) -> int:
@@ -173,35 +177,37 @@ def touchard_check(
         rhs = (m * bell[n] + bell[n + 1]) % p
         if lhs != rhs:
             bad.append((n, lhs, rhs))
-    return CongruenceReport(pp, n_lo, n_hi, n_hi - n_lo + 1, tuple(bad))
+    return CongruenceReport(pp, n_lo, n_hi, tuple(bad))
 
 
-def bell_mod_p_stream(p: int, n_max: int, seeds: list[int] | tuple[int, ...]) -> Iterator[int]:
+def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:
     """Yield B_0..B_{n_max} mod p by the linear recurrence B_{n+p} = B_n + B_{n+1}.
 
-    ``seeds`` must be B_0..B_{p-1} reduced mod p, computed once from an
-    exact table; everything past the seed window is word-sized modular
-    arithmetic, so the stream extends to large n_max at trivial cost.
-    The arguments are checked when the function is called, before any
-    residue is asked for.  The stream is lazy: it holds the last p
-    residues plus one block of ``_REFILL`` new ones, so its memory is
-    O(p), not O(n_max).
+    The seeds B_0..B_{p-1} mod p come from Aitken's Bell triangle reduced
+    mod p as it is built, O(p^2) word-sized additions; everything past
+    the seed window is one addition per residue, so the stream extends
+    to large n_max at trivial cost.  The arguments are checked when the
+    function is called, before any residue is asked for.  The stream is
+    lazy: it holds the last p residues plus one block of ``_REFILL`` new
+    ones, so its memory is O(p), not O(n_max).
     """
     if p > _MAX_PRIME or not is_prime(p):
         raise ValueError(f"p={p} is not a machine-word-sized prime")
-    if len(seeds) != p:
-        raise ValueError(f"need exactly {p} seeds (B_0..B_{p - 1} mod p), got {len(seeds)}")
     if n_max < p - 1:
         raise ValueError(f"n_max must be >= p-1 = {p - 1}")
-    if any(not 0 <= s < p for s in seeds):
-        raise ValueError("seeds must be residues in [0, p)")
-    return _residues(p, n_max, list(seeds))
+    return _residues(p, n_max)
 
 
-def _residues(p: int, n_max: int, buf: list[int]) -> Iterator[int]:
+def _residues(p: int, n_max: int) -> Iterator[int]:
+    # the seeds: row n of Aitken's triangle (see exact.build_bell_binomial)
+    # starts with B_n, and a row of at most p residues sums below p*p
+    buf, row = [1], [1]
+    for _ in range(p - 1):
+        row = [a % p for a in accumulate(row, initial=row[-1])]
+        buf.append(row[0])
+    yield from buf
     # buf holds B_{n-p}..B_{n-1}; B_{n+i} = buf[i] + buf[i+1], where
     # buf[i+1] past the window is a residue appended earlier in the block
-    yield from buf
     left = n_max + 1 - p
     while left > 0:
         k = min(_REFILL, left)

@@ -30,7 +30,6 @@ from .modular import PrimePower
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "SetPartition",
-    "TranslationAction",
     "OrbitSummary",
     "enumerate_partitions",
     "count_by_blocks",
@@ -103,20 +102,6 @@ class SetPartition:
 
     def __str__(self) -> str:
         return "|".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks())
-
-
-@dataclass(frozen=True)
-class TranslationAction:
-    """The translation x -> x + shift mod modulus, applied element-wise."""
-
-    modulus: int
-    shift: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if not 0 <= self.shift < self.modulus:
-            raise ValueError(f"shift must lie in [0, {self.modulus})")
 
 
 @dataclass(frozen=True)
@@ -193,15 +178,6 @@ def count_by_blocks(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ..
     return tuple(counts)
 
 
-def _shift_rgs(rgs: tuple[int, ...], y: int, n: int) -> tuple[int, ...]:
-    """Canonical RGS of the image partition under x -> x + y mod n."""
-    y %= n
-    if y == 0:
-        return rgs
-    # element (x + y) inherits the old label of x, i.e. rotate right by y
-    return _canonical(rgs[-y:] + rgs[:-y])
-
-
 def _rotation_tables(n: int) -> list[bytes]:
     """``bytes.translate`` tables T[c] for c < n: c -> 0, v -> v+1 for
     v < c, and every v > c unchanged."""
@@ -214,13 +190,13 @@ def _rotate(rgs: bytes, tables: list[bytes]) -> bytes:
     return (rgs[-1:] + rgs[:-1]).translate(tables[rgs[-1]])
 
 
-def apply_shift(part: SetPartition, act: TranslationAction) -> SetPartition:
-    """Apply the translation element-wise and recanonicalize."""
-    if part.n != act.modulus:
-        raise ValueError(
-            f"partition of a {part.n}-set under a mod-{act.modulus} translation"
-        )
-    return SetPartition(part.n, _shift_rgs(part.rgs, act.shift, part.n))
+def apply_shift(part: SetPartition, y: int) -> SetPartition:
+    """The image of ``part`` under the translation x -> x + y mod n, where
+    n = ``part.n``; any integer y is taken mod n.  Element x + y inherits
+    the old label of x, so the string rotates right by y (by y = 0 it
+    stays whole) and is then relabelled canonically."""
+    y %= part.n
+    return SetPartition(part.n, _canonical(part.rgs[-y:] + part.rgs[:-y]))
 
 
 def orbit_decomposition(

@@ -155,8 +155,7 @@ def test_criterion_7_modular_stream(capsys):
     def body():
         bell = build_bell_binomial(2000)
         for p in (2, 3, 5, 7, 11, 13):
-            seeds = [b % p for b in bell[:p]]
-            stream = list(bell_mod_p_stream(p, 2000, seeds))
+            stream = list(bell_mod_p_stream(p, 2000))
             for n in range(2001):
                 assert stream[n] == bell[n] % p
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bellshift import CongruenceReport, PrimePower
+from bellshift import CongruenceReport
 from bellshift import cli
 
 from conftest import BELL_SMALL
@@ -300,6 +300,40 @@ def test_bell_mod_cross_check_past_depth_is_usage_error():
     assert "depth" in res.stderr
 
 
+def test_bell_mod_builds_an_exact_table_only_to_cross_check(monkeypatch, capsys):
+    real = cli.build_bell_binomial
+
+    def no_table(n_max):
+        raise AssertionError("bell-mod built an exact table")
+
+    monkeypatch.setattr(cli, "build_bell_binomial", no_table)
+    assert cli.main(["bell-mod", "13", "1000"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1002 and rows[-1] == f"1000\t{real(1000)[-1] % 13}"
+
+    calls = []
+
+    def recording(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(cli, "build_bell_binomial", recording)
+    assert cli.main(["bell-mod", "5", "200", "--cross-check"]) == 0
+    assert calls == [200]
+
+
+def test_bell_mod_seed_window_past_depth_is_refused_before_any_work(monkeypatch, capsys):
+    def no_stream(p, n_max):
+        raise AssertionError("bell-mod started the stream")
+
+    monkeypatch.delenv(cli.DEPTH_ENV, raising=False)
+    monkeypatch.setattr(cli, "bell_mod_p_stream", no_stream)
+    assert cli.main(["bell-mod", "211", "300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bell-mod 211 seeds needs table index 210" in captured.err
+
+
 def test_bell_mod_composite_p_is_usage_error():
     res = run_cli("bell-mod", "4", "10")
     assert res.returncode == 2
@@ -422,16 +456,15 @@ def test_deep_bell_prints_without_digit_guard_failure():
 
 
 def test_forced_touchard_counterexample_exits_one(monkeypatch, capsys):
-    pp = PrimePower(2, 1)
-
-    def fake(pp_, n_lo, n_hi, bell):
-        return CongruenceReport(pp_, n_lo, n_hi, 3, ((4, 1, 0),))
+    def fake(pp, n_lo, n_hi, bell):
+        return CongruenceReport(pp, n_lo, n_hi, ((4, 1, 0),))
 
     monkeypatch.setattr(cli, "touchard_check", fake)
     assert cli.main(["verify", "2", "1"]) == 1
     out = capsys.readouterr().out
     assert "n=4 lhs=1 rhs=0" in out
     assert "counterexample" in out
+    assert "checked\t100\n" in out
 
 
 def test_forced_cross_recurrence_mismatch_exits_one(monkeypatch, capsys):
@@ -447,7 +480,7 @@ def test_forced_construction_mismatch_exits_one(monkeypatch, capsys):
 
 
 def test_forced_stream_mismatch_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "bell_mod_p_stream", lambda p, n, seeds: [0] * (n + 1))
+    monkeypatch.setattr(cli, "bell_mod_p_stream", lambda p, n: [0] * (n + 1))
     assert cli.main(["bell-mod", "3", "10", "--cross-check"]) == 1
     assert "stream disagrees" in capsys.readouterr().err
 

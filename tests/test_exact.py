@@ -26,11 +26,13 @@ def test_binomial_base_row():
 
 
 def test_binomial_matches_subset_enumeration():
-    # C(n, k) counts the k-element subsets, so count them
+    # C(n, k) counts the k-element subsets, so count them; math.comb, which
+    # binomial_vanishing_check reads, must count the same
     table = build_binomials(8)
     for n in range(9):
         for k in range(n + 1):
-            assert table[n][k] == len(list(combinations(range(n), k)))
+            subsets = len(list(combinations(range(n), k)))
+            assert table[n][k] == comb(n, k) == subsets
 
 
 def test_binomial_boundaries():

@@ -12,7 +12,6 @@ from bellshift import (
     bell_prime_power_residue,
     binomial_vanishing_check,
     build_bell_binomial,
-    build_binomials,
     eval_poly,
     is_prime,
     prime_powers_up_to,
@@ -106,26 +105,21 @@ def test_two_term_form_agrees_with_full_polynomial(bell300, binom300):
 # -------------------------------------------------------- Pascal divisibility
 
 
-def test_binomial_vanishing_examples(binom300):
-    assert binomial_vanishing_check(PrimePower(2, 1), binom300)
-    assert binomial_vanishing_check(PrimePower(2, 2), binom300)
-    assert binomial_vanishing_check(PrimePower(3, 1), binom300)
-    assert binomial_vanishing_check(PrimePower(7, 1), binom300)
+def test_binomial_vanishing_examples():
+    assert binomial_vanishing_check(PrimePower(2, 1))
+    assert binomial_vanishing_check(PrimePower(2, 2))
+    assert binomial_vanishing_check(PrimePower(3, 1))
+    assert binomial_vanishing_check(PrimePower(7, 1))
 
 
 def test_binomial_vanishing_all_prime_powers_in_range(binom300):
     for pp in prime_powers_up_to(250):
-        assert binomial_vanishing_check(pp, binom300)
-    # powers of 2 up to the table edge, including 256
+        assert binomial_vanishing_check(pp)
+        # the additive Pascal table says the same
+        assert all(c % pp.p == 0 for c in binom300[pp.value][1:-1])
+    # powers of 2 up to 256
     for m in range(1, 9):
-        assert binomial_vanishing_check(PrimePower(2, m), binom300)
-
-
-def test_binomial_vanishing_requires_deep_table(binom300):
-    # a deep table sliced to row 10 is as shallow as a built one
-    for shallow in (build_binomials(10), binom300[:11]):
-        with pytest.raises(ValueError, match="too shallow"):
-            binomial_vanishing_check(PrimePower(11, 1), shallow)
+        assert binomial_vanishing_check(PrimePower(2, m))
 
 
 def test_divisibility_is_special_to_prime_powers(binom300):
@@ -161,36 +155,37 @@ def test_touchard_validation(bell300):
 
 def test_report_ok_flips_on_counterexamples():
     pp = PrimePower(2, 1)
-    clean = CongruenceReport(pp, 1, 10, 10, ())
-    assert clean.ok
-    dirty = CongruenceReport(pp, 1, 10, 10, ((4, 1, 0),))
-    assert not dirty.ok
+    clean = CongruenceReport(pp, 1, 10, ())
+    assert clean.ok and clean.checked == 10
+    dirty = CongruenceReport(pp, 1, 10, ((4, 1, 0),))
+    assert not dirty.ok and dirty.checked == 10
 
 
 # ------------------------------------------------------------- streaming mod p
 
 
 def test_stream_small_primes():
-    assert list(bell_mod_p_stream(2, 5, (1, 1))) == [1, 1, 0, 1, 1, 0]
-    assert list(bell_mod_p_stream(3, 5, (1, 1, 2))) == [1, 1, 2, 2, 0, 1]
+    assert list(bell_mod_p_stream(2, 5)) == [1, 1, 0, 1, 1, 0]
+    assert list(bell_mod_p_stream(3, 5)) == [1, 1, 2, 2, 0, 1]
 
 
 def test_stream_matches_exact_table(bell300):
     for p in (2, 3, 5, 7):
-        seeds = tuple(b % p for b in bell300[:p])
-        stream = list(bell_mod_p_stream(p, 200, seeds))
+        stream = list(bell_mod_p_stream(p, 200))
         assert stream == [b % p for b in bell300[:201]]
+
+
+@pytest.mark.parametrize("p", sorted(sieve(299)))
+def test_stream_seeds_itself_for_every_prime_below_300(p, bell300):
+    # the seed window alone is B_0..B_{p-1}, so p = 293 tests it nearly whole
+    assert list(bell_mod_p_stream(p, 300)) == [b % p for b in bell300]
 
 
 def test_stream_validation():
     with pytest.raises(ValueError, match="not a machine-word-sized prime"):
-        bell_mod_p_stream(4, 10, (1, 1, 0, 1))
-    with pytest.raises(ValueError, match="seeds"):
-        bell_mod_p_stream(3, 10, (1, 1))
+        bell_mod_p_stream(4, 10)
     with pytest.raises(ValueError, match="n_max"):
-        bell_mod_p_stream(5, 3, (1, 1, 2, 0, 0))
-    with pytest.raises(ValueError, match="residues"):
-        bell_mod_p_stream(3, 10, (1, 1, 3))
+        bell_mod_p_stream(5, 3)
 
 
 # every prime the stream tests below reduce by
@@ -211,26 +206,23 @@ def bell_mod_oracle(bell300):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_stream_is_lazy(p, bell300, bell_mod_oracle):
+def test_stream_is_lazy(p, bell_mod_oracle):
     # an eager stream would build 10**18 residues before the first one
-    seeds = tuple(b % p for b in bell300[:p])
-    head = list(islice(bell_mod_p_stream(p, 10**18, seeds), 5000))
+    head = list(islice(bell_mod_p_stream(p, 10**18), 5000))
     assert head == [b % p for b in bell_mod_oracle]
 
 
 @pytest.mark.parametrize("p", [2, 3, 13, 199])
 def test_stream_ends_at_window_and_block_edges(p, bell300, bell_mod_oracle):
-    seeds = tuple(b % p for b in bell300[:p])
     for n in (p - 1, p, p + 1):
-        assert list(bell_mod_p_stream(p, n, seeds)) == [b % p for b in bell300[: n + 1]]
+        assert list(bell_mod_p_stream(p, n)) == [b % p for b in bell300[: n + 1]]
     refill = modular._REFILL
     for n in (p - 2 + refill, p - 1 + refill, p + refill):
-        assert list(bell_mod_p_stream(p, n, seeds)) == [b % p for b in bell_mod_oracle[: n + 1]]
+        assert list(bell_mod_p_stream(p, n)) == [b % p for b in bell_mod_oracle[: n + 1]]
 
 
 @pytest.mark.parametrize("refill", [1, 2, 12, 13, 14, 198, 199, 200])
 def test_stream_block_may_be_shorter_or_longer_than_p(monkeypatch, refill, bell300):
     monkeypatch.setattr(modular, "_REFILL", refill)
     for p in (2, 3, 13, 199):
-        seeds = tuple(b % p for b in bell300[:p])
-        assert list(bell_mod_p_stream(p, 300, seeds)) == [b % p for b in bell300]
+        assert list(bell_mod_p_stream(p, 300)) == [b % p for b in bell300]

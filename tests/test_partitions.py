@@ -7,7 +7,6 @@ from bellshift import (
     OrbitSummary,
     PrimePower,
     SetPartition,
-    TranslationAction,
     apply_shift,
     congruence_class_partition,
     count_by_blocks,
@@ -159,30 +158,17 @@ def test_from_blocks_roundtrip(part):
 # ------------------------------------------------------- translation action
 
 
-def test_action_validation():
-    with pytest.raises(ValueError):
-        TranslationAction(4, 4)
-    with pytest.raises(ValueError):
-        TranslationAction(4, -1)
-    with pytest.raises(ValueError):
-        TranslationAction(0, 0)
-    part = SetPartition(3, (0, 1, 0))
-    with pytest.raises(ValueError):
-        apply_shift(part, TranslationAction(4, 1))
-
-
 def test_zero_shift_is_identity():
     for n in range(1, 7):
-        ident = TranslationAction(n, 0)
         for part in enumerate_partitions(n):
-            assert apply_shift(part, ident) == part
+            assert apply_shift(part, 0) == part
 
 
 def test_shift_examples():
     fixed = SetPartition.from_blocks([(0, 2), (1, 3)])
-    assert apply_shift(fixed, TranslationAction(4, 1)) == fixed
+    assert apply_shift(fixed, 1) == fixed
     part = SetPartition.from_blocks([(0, 1), (2,)])
-    moved = apply_shift(part, TranslationAction(3, 1))
+    moved = apply_shift(part, 1)
     assert moved == SetPartition.from_blocks([(1, 2), (0,)])
 
 
@@ -191,7 +177,7 @@ def test_shift_preserves_block_sizes():
         for part in enumerate_partitions(n):
             sizes = sorted(len(b) for b in part.blocks())
             for y in range(n):
-                image = apply_shift(part, TranslationAction(n, y))
+                image = apply_shift(part, y)
                 assert sorted(len(b) for b in image.blocks()) == sizes
 
 
@@ -200,31 +186,33 @@ def test_shifts_compose_like_the_group(part, data):
     n = part.n
     y = data.draw(st.integers(min_value=0, max_value=n - 1))
     z = data.draw(st.integers(min_value=0, max_value=n - 1))
-    one_step = apply_shift(apply_shift(part, TranslationAction(n, y)), TranslationAction(n, z))
-    combined = apply_shift(part, TranslationAction(n, (y + z) % n))
+    one_step = apply_shift(apply_shift(part, y), z)
+    combined = apply_shift(part, (y + z) % n)
     assert one_step == combined
+    # a shift outside [0, n) is the shift by its residue mod n, and -y undoes y
+    for w in (y + n, y + 3 * n, y - n, -1 - y, z - 5 * n):
+        assert apply_shift(part, w) == apply_shift(part, w % n)
+    assert apply_shift(apply_shift(part, y), -y) == part
 
 
 def test_each_shift_permutes_the_partition_set():
     for n in range(1, 7):
         everything = set(enumerate_partitions(n))
         for y in range(n):
-            act = TranslationAction(n, y)
-            assert {apply_shift(p, act) for p in everything} == everything
+            assert {apply_shift(p, y) for p in everything} == everything
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_closed_form_rotation_matches_canonical_shift(n):
     tables = _rotation_tables(n)
-    act = TranslationAction(n, 1 % n)
     for part in enumerate_partitions(n):
-        assert tuple(_rotate(bytes(part.rgs), tables)) == apply_shift(part, act).rgs
+        assert tuple(_rotate(bytes(part.rgs), tables)) == apply_shift(part, 1).rgs
 
 
 @given(set_partitions())
 def test_closed_form_rotation_matches_canonical_shift_sampled(part):
     rotated = _rotate(bytes(part.rgs), _rotation_tables(part.n))
-    assert tuple(rotated) == apply_shift(part, TranslationAction(part.n, 1 % part.n)).rgs
+    assert tuple(rotated) == apply_shift(part, 1).rgs
 
 
 def test_closed_form_rotation_at_the_byte_bound():
@@ -260,7 +248,7 @@ def test_orbit_representative_is_lex_least_and_walk_matches_all_shifts():
     for n in range(1, 9):
         for summary in orbit_decomposition(n):
             full = {
-                apply_shift(summary.representative, TranslationAction(n, y))
+                apply_shift(summary.representative, y)
                 for y in range(n)
             }
             assert len(full) == summary.size
@@ -290,7 +278,7 @@ def test_generator_fixed_equals_fixed_under_every_shift(p, m):
     by_definition = {
         part
         for part in enumerate_partitions(n)
-        if all(apply_shift(part, TranslationAction(n, y)) == part for y in range(n))
+        if all(apply_shift(part, y) == part for y in range(n))
     }
     assert by_generator == by_definition
 
