@@ -13,6 +13,7 @@ from bellshift import CongruenceReport
 from bellshift import cli
 
 from conftest import BELL_SMALL
+from test_partitions import seen_set_orbit_decomposition
 
 
 def run_cli(
@@ -262,6 +263,17 @@ def test_orbits_prime_square():
     rec = records(run_cli("orbits", "2", "2").stdout)
     assert rec["fixed_count"] == "3"
     assert rec["fixed_1"] == "{0,2}|{1,3}"
+
+
+@pytest.mark.parametrize("p,m", [(11, 1), (2, 3), (3, 2), (7, 1)])
+def test_orbits_stdout_matches_seen_set_oracle(monkeypatch, capsysbinary, p, m):
+    args = ["orbits", str(p), str(m)]
+    assert cli.main(args) == 0
+    walked = capsysbinary.readouterr().out
+    assert walked.startswith(b"#record\tvalue\n") and b"\nfixed_0\t" in walked
+    monkeypatch.setattr(cli, "orbit_decomposition", seen_set_orbit_decomposition)
+    assert cli.main(args) == 0
+    assert capsysbinary.readouterr().out == walked
 
 
 def test_orbits_over_cap_is_usage_error():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,7 @@ from bellshift import (
     fixed_partitions,
     orbit_decomposition,
 )
-from bellshift.partitions import _rgs_stream, _rotate, _rotation_tables
+from bellshift.partitions import DEFAULT_ENUMERATION_CAP, _check_cap, _orbit_reps, _rgs_stream
 
 from conftest import BELL_SMALL
 
@@ -31,6 +33,46 @@ def insertion_partitions(n: int) -> set[frozenset[frozenset[int]]]:
             grown.append(part + ((x,),))
         parts = grown
     return {frozenset(frozenset(b) for b in part) for part in parts}
+
+
+def _rotation_tables(n: int) -> list[bytes]:
+    """``bytes.translate`` tables T[c] for c < n: c -> 0, v -> v+1 for
+    v < c, and every v > c unchanged."""
+    return [bytes(range(1, c + 1)) + b"\0" + bytes(range(c + 1, 256)) for c in range(n)]
+
+
+def _rotate(rgs: bytes, tables: list[bytes]) -> bytes:
+    """Canonical RGS of the image of a canonical ``rgs`` under x -> x + 1.
+
+    The rotation puts the last label c first and keeps the first-appearance
+    order of the other labels, so the table T[c] (c -> 0, v -> v+1 below c,
+    unchanged above) is its canonical relabelling."""
+    return (rgs[-1:] + rgs[:-1]).translate(tables[rgs[-1]])
+
+
+def seen_set_orbit_decomposition(
+    modulus: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[OrbitSummary, ...]:
+    """Slow oracle for ``orbit_decomposition``: stream all B_modulus
+    strings, walk each new one's orbit under the generator shift with
+    ``_rotate``, and remember the members met so the stream skips them."""
+    _check_cap(modulus, cap)
+    tables = _rotation_tables(modulus)
+    seen: set[bytes] = set()
+    out = []
+    for rgs in _rgs_stream(modulus):
+        if rgs in seen:
+            continue
+        # rgs is the first member of its orbit the stream reaches and is not
+        # reached again, so only the other members need remembering
+        size = 1
+        cur = _rotate(rgs, tables)
+        while cur != rgs:
+            seen.add(cur)
+            size += 1
+            cur = _rotate(cur, tables)
+        out.append(OrbitSummary(SetPartition(modulus, tuple(rgs)), size))
+    return tuple(out)
 
 
 @st.composite
@@ -72,6 +114,15 @@ def test_enumeration_is_sorted_without_repeats():
     for n in range(1, 8):
         seen = [p.rgs for p in enumerate_partitions(n)]
         assert seen == sorted(set(seen))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_enumerated_partitions_pass_the_public_check(n):
+    # the enumerator builds its partitions without __post_init__; each must
+    # equal the validated construction of the same string
+    for part in enumerate_partitions(n):
+        assert SetPartition(n, part.rgs) == part
+        assert hash(SetPartition(n, part.rgs)) == hash(part)
 
 
 def test_cap_refusal():
@@ -253,6 +304,29 @@ def test_orbit_representative_is_lex_least_and_walk_matches_all_shifts():
             }
             assert len(full) == summary.size
             assert min(p.rgs for p in full) == summary.representative.rgs
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_orbit_walk_matches_seen_set_oracle(n):
+    # same representatives, in the same order, with the same sizes
+    assert orbit_decomposition(n) == seen_set_orbit_decomposition(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orbit_images_cover_every_partition_once(n):
+    images = [
+        apply_shift(s.representative, y)
+        for s in orbit_decomposition(n)
+        for y in range(s.size)
+    ]
+    assert sorted(p.rgs for p in images) == [p.rgs for p in enumerate_partitions(n)]
+
+
+def test_orbit_walk_at_the_byte_bound():
+    # the walk is iterative: the byte bound's depth reaches no recursion limit
+    t0 = time.perf_counter()
+    assert next(_orbit_reps(256)) == ((0,) * 256, 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_orbit_summary_consistency():
