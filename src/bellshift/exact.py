@@ -103,9 +103,7 @@ def build_bell_binomial(n_max: int) -> tuple[int, ...]:
 
 
 def bell_from_stirling(tri: tuple[tuple[int, ...], ...], n: int) -> int:
-    """B_n as the row sum of the Stirling triangle; B_0 = 1 by convention."""
+    """B_n as the row sum of the Stirling triangle; row 0 is (1,), so B_0 = 1."""
     if not 0 <= n < len(tri):
         raise ValueError(f"index {n} not in triangle (rows 0..{len(tri) - 1})")
-    if n == 0:
-        return 1
-    return sum(tri[n][1:])
+    return sum(tri[n])

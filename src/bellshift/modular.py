@@ -105,7 +105,6 @@ class CongruenceReport:
     expected to stay empty.
     """
 
-    pp: PrimePower
     n_lo: int
     n_hi: int
     counterexamples: tuple[tuple[int, int, int], ...]
@@ -177,7 +176,7 @@ def touchard_check(
         rhs = (m * bell[n] + bell[n + 1]) % p
         if lhs != rhs:
             bad.append((n, lhs, rhs))
-    return CongruenceReport(pp, n_lo, n_hi, tuple(bad))
+    return CongruenceReport(n_lo, n_hi, tuple(bad))
 
 
 def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:

@@ -9,10 +9,8 @@ A partition is stored canonically as a restricted growth string (RGS):
 ``rgs[i]`` is the block label of element i, labels are assigned in order
 of first appearance, so ``rgs[0] == 0`` and each entry exceeds the
 running maximum by at most one.  One partition, one string; equality and
-hashing come for free.  ``SetPartition.rgs`` is that string as a tuple;
-inside the enumerator the strings are ``bytes`` (one byte per label),
-which hash and compare in C, order like the tuples, and are not tracked
-by the garbage collector.  The enumerator's strings are canonical by
+hashing come for free.  ``SetPartition.rgs`` is that string as a
+tuple, and n is its length.  The enumerator's tuples are canonical by
 construction, so ``enumerate_partitions`` skips the check that
 ``SetPartition`` runs on strings from elsewhere.
 
@@ -26,8 +24,8 @@ B_11 = 678,570 strings of the full enumeration.
 
 Enumeration refuses ground sets above a configurable cap (default 12,
 about 4.2 million partitions) so that full orbit decompositions stay at
-desk scale, and above ``MAX_GROUND_SET`` = 256 whatever the cap, since a
-byte holds labels below 256 only.
+desk scale, and above ``MAX_GROUND_SET`` = 256, a fixed ceiling that
+no cap lifts.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
-MAX_GROUND_SET = 256  # labels are bytes
+MAX_GROUND_SET = 256  # a fixed ceiling on n; no cap lifts it
 
 
 def _canonical(labels: Iterable[int]) -> tuple[int, ...]:
@@ -68,16 +66,14 @@ def _canonical(labels: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SetPartition:
-    """A partition of {0,...,n-1} in canonical RGS form."""
+    """A partition of {0,...,n-1} in canonical RGS form; n is derived
+    from the string, as ``len(rgs)``."""
 
-    n: int
     rgs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if not self.rgs:
             raise ValueError("ground set must be nonempty")
-        if len(self.rgs) != self.n:
-            raise ValueError(f"rgs has length {len(self.rgs)}, expected {self.n}")
         top = 0
         for i, v in enumerate(self.rgs):
             if v < 0 or v > top:
@@ -97,7 +93,11 @@ class SetPartition:
         n = len(labels)
         if n == 0 or set(labels) != set(range(n)):
             raise ValueError("blocks must cover {0,...,n-1} exactly")
-        return cls(n, _canonical(labels[i] for i in range(n)))
+        return cls(_canonical(labels[i] for i in range(n)))
+
+    @property
+    def n(self) -> int:
+        return len(self.rgs)
 
     @property
     def block_count(self) -> int:
@@ -140,19 +140,19 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def _rgs_stream(n: int) -> Iterator[bytes]:
-    """All canonical RGS of length n, as bytes, in lexicographic order.
+def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
+    """All canonical RGS of length n, as tuples, in lexicographic order.
 
     The walk steps through the first n-1 entries; each such prefix is
-    packed once, and the last entry, which runs over 0..b[-1], is appended
-    to it, so a string costs one short concatenation.
+    made a tuple once, and the last entry, which runs over 0..b[-1], is
+    appended to it, so a string costs one short concatenation.
     """
-    last = [bytes([v]) for v in range(n)]
+    last = [(v,) for v in range(n)]
     a = [0] * n  # current string
     b = [1] * n  # largest value a[i] may take: 1 + max(a[:i]), and 0 for i = 0
     b[0] = 0
     while True:
-        head = bytes(a[:-1])
+        head = tuple(a[:-1])
         for tail in last[: b[-1] + 1]:
             yield head + tail
         i = n - 2
@@ -174,7 +174,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator
     for rgs in _rgs_stream(n):
         # canonical by construction, so skip __post_init__'s re-check
         part = object.__new__(SetPartition)
-        vars(part).update(n=n, rgs=tuple(rgs))
+        vars(part)["rgs"] = rgs
         yield part
 
 
@@ -197,7 +197,7 @@ def apply_shift(part: SetPartition, y: int) -> SetPartition:
     the old label of x, so the string rotates right by y (by y = 0 it
     stays whole) and is then relabelled canonically."""
     y %= part.n
-    return SetPartition(part.n, _canonical(part.rgs[-y:] + part.rgs[:-y]))
+    return SetPartition(_canonical(part.rgs[-y:] + part.rgs[:-y]))
 
 
 def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -290,9 +290,7 @@ def orbit_decomposition(
     B_modulus, and each size divides the modulus.
     """
     _check_cap(modulus, cap)
-    return tuple(
-        OrbitSummary(SetPartition(modulus, rgs), size) for rgs, size in _orbit_reps(modulus)
-    )
+    return tuple(OrbitSummary(SetPartition(rgs), size) for rgs, size in _orbit_reps(modulus))
 
 
 def fixed_partitions(
@@ -308,7 +306,7 @@ def fixed_partitions(
     """
     n = pp.value
     _check_cap(n, cap)
-    return tuple(SetPartition(n, rgs) for rgs, size in _orbit_reps(n) if size == 1)
+    return tuple(SetPartition(rgs) for rgs, size in _orbit_reps(n) if size == 1)
 
 
 def congruence_class_partition(pp: PrimePower, j: int) -> SetPartition:
@@ -320,4 +318,4 @@ def congruence_class_partition(pp: PrimePower, j: int) -> SetPartition:
     if not 0 <= j <= pp.m:
         raise ValueError(f"j must lie in [0, {pp.m}]")
     q = pp.p ** (pp.m - j)
-    return SetPartition(pp.value, tuple(i % q for i in range(pp.value)))
+    return SetPartition(tuple(i % q for i in range(pp.value)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -455,6 +456,43 @@ def test_repeated_runs_are_byte_identical():
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
 
 
+# sha256 of stdout per command and format, recorded from a known-good
+# build: the six criterion-8 commands, three more orbits and a long
+# bell-mod run.  A change to any of these bytes must update this table
+# on purpose.
+RECORDED_DIGESTS = {
+    ("bell 30 --cross-check", "tsv"): "a694a9568bf41dc7c3e7dc48936db26fb78b0ebba5c0fcebb6d5e7d8f8eb6a0a",
+    ("bell 30 --cross-check", "json-lines"): "04f1324c9e613cbef79cc1a7186e4ce13c5b6fb91a10ae0f48c916c28c5a7d52",
+    ("stirling 12", "tsv"): "4094efdf599aef7fc55d43c96227e42214ee933c755200c8033925bf14013c13",
+    ("stirling 12", "json-lines"): "c2cea6f083348c8c370f41d38c5ca4aeebb06eb90ecdff939dd1ba574d70b5f1",
+    ("shift-poly 10 --check-recursive", "tsv"): "0a03547a4500b6d5b282e24da5c2eeacda1632100b5bb530f9574ea08fdf2bee",
+    ("shift-poly 10 --check-recursive", "json-lines"): "bbae2e2083d4b0512adb63d500a3c2b5c0f871a29cb74ceffe3c1ab0dd4842da",
+    ("verify 3 2", "tsv"): "431000869204c7128ebfd2e463683c185f099b6cf998bff25a502cdc50c83ffb",
+    ("verify 3 2", "json-lines"): "652d7ffc06a9cab69d9042075ecff071d2efcc56e514630390bb0fc564c8807c",
+    ("orbits 3 1", "tsv"): "a31297acc8984ca71e62fcb318c64d3ababd2ef3f80c0dbee9ef90e5142380a0",
+    ("orbits 3 1", "json-lines"): "0d2b4e08721eebb4ede47c4f2a05246bd7bf0e7440a37ca227eea5659d56beeb",
+    ("bell-mod 7 500", "tsv"): "a01f22f2b126a72db2136a29072b04d38404169aa14f105663a43020321a01e8",
+    ("bell-mod 7 500", "json-lines"): "27ba1afb109099a5c20f618e0b3b2a0955f132eb79a715cc82ccd3118ac383a6",
+    ("orbits 2 3", "tsv"): "925bca8a031d46bae19957806348ce138abee4da017093360aab9616aa95a77e",
+    ("orbits 2 3", "json-lines"): "d2a303c845dc38ca33393d2a329b1d844a656e9d5bea5bc7f52f92a8269557e9",
+    ("orbits 3 2", "tsv"): "9aff89760eeaf51c5e36990dcdeac7f790b42b1632291a5d123a8c57b93de800",
+    ("orbits 3 2", "json-lines"): "16da7aef866add2b1e3c6ad29b39c52e3a3ee2213694af4757dc2f0748842ea2",
+    ("orbits 7 1", "tsv"): "b9bed29b90bab6557bd2a34e3dae0dadddc857d3fa7f4c18527473ecdcdc1195",
+    ("orbits 7 1", "json-lines"): "b7028ae52b81f8e6031583eff66b82c2d0b835d33ac8971aa86317ef27b46cc6",
+    ("bell-mod 13 5000", "tsv"): "6d8f4d00ae1c3d1612b282339c4fcb6b7d71231cd204c6c5f398e50d325ebe8a",
+    ("bell-mod 13 5000", "json-lines"): "8282a7a8afd9ca73bfe7d425f1d706229b94f35637567b22885535f665ac8e69",
+}
+
+
+@pytest.mark.parametrize("args,fmt", list(RECORDED_DIGESTS))
+def test_stdout_matches_recorded_digests(monkeypatch, capsysbinary, args, fmt):
+    for name in [k for k in os.environ if k.startswith("BELLSHIFT_")]:
+        monkeypatch.delenv(name)
+    assert cli.main([*args.split(), "--format", fmt]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == RECORDED_DIGESTS[args, fmt]
+
+
 def test_deep_bell_prints_without_digit_guard_failure():
     # B_250 has over 300 digits; the interpreter's int-to-str guard must
     # be lifted to match the configured depth.
@@ -469,7 +507,7 @@ def test_deep_bell_prints_without_digit_guard_failure():
 
 def test_forced_touchard_counterexample_exits_one(monkeypatch, capsys):
     def fake(pp, n_lo, n_hi, bell):
-        return CongruenceReport(pp, n_lo, n_hi, ((4, 1, 0),))
+        return CongruenceReport(n_lo, n_hi, ((4, 1, 0),))
 
     monkeypatch.setattr(cli, "touchard_check", fake)
     assert cli.main(["verify", "2", "1"]) == 1

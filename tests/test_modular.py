@@ -154,10 +154,9 @@ def test_touchard_validation(bell300):
 
 
 def test_report_ok_flips_on_counterexamples():
-    pp = PrimePower(2, 1)
-    clean = CongruenceReport(pp, 1, 10, ())
+    clean = CongruenceReport(1, 10, ())
     assert clean.ok and clean.checked == 10
-    dirty = CongruenceReport(pp, 1, 10, ((4, 1, 0),))
+    dirty = CongruenceReport(1, 10, ((4, 1, 0),))
     assert not dirty.ok and dirty.checked == 10
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bellshift import (
     OrbitSummary,
@@ -16,7 +16,13 @@ from bellshift import (
     fixed_partitions,
     orbit_decomposition,
 )
-from bellshift.partitions import DEFAULT_ENUMERATION_CAP, _check_cap, _orbit_reps, _rgs_stream
+from bellshift.partitions import (
+    DEFAULT_ENUMERATION_CAP,
+    _canonical,
+    _check_cap,
+    _orbit_reps,
+    _rgs_stream,
+)
 
 from conftest import BELL_SMALL
 
@@ -54,13 +60,14 @@ def seen_set_orbit_decomposition(
     modulus: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[OrbitSummary, ...]:
     """Slow oracle for ``orbit_decomposition``: stream all B_modulus
-    strings, walk each new one's orbit under the generator shift with
-    ``_rotate``, and remember the members met so the stream skips them."""
+    strings as bytes, walk each new one's orbit under the generator shift
+    with ``_rotate``, and remember the members met so the stream skips
+    them."""
     _check_cap(modulus, cap)
     tables = _rotation_tables(modulus)
     seen: set[bytes] = set()
     out = []
-    for rgs in _rgs_stream(modulus):
+    for rgs in map(bytes, _rgs_stream(modulus)):
         if rgs in seen:
             continue
         # rgs is the first member of its orbit the stream reaches and is not
@@ -71,7 +78,7 @@ def seen_set_orbit_decomposition(
             seen.add(cur)
             size += 1
             cur = _rotate(cur, tables)
-        out.append(OrbitSummary(SetPartition(modulus, tuple(rgs)), size))
+        out.append(OrbitSummary(SetPartition(tuple(rgs)), size))
     return tuple(out)
 
 
@@ -84,7 +91,7 @@ def set_partitions(draw, max_n: int = 9) -> SetPartition:
         v = draw(st.integers(min_value=0, max_value=top))
         rgs.append(v)
         top = max(top, v + 1)
-    return SetPartition(n, tuple(rgs))
+    return SetPartition(tuple(rgs))
 
 
 # -------------------------------------------------------------- enumeration
@@ -121,8 +128,8 @@ def test_enumerated_partitions_pass_the_public_check(n):
     # the enumerator builds its partitions without __post_init__; each must
     # equal the validated construction of the same string
     for part in enumerate_partitions(n):
-        assert SetPartition(n, part.rgs) == part
-        assert hash(SetPartition(n, part.rgs)) == hash(part)
+        assert SetPartition(part.rgs) == part
+        assert hash(SetPartition(part.rgs)) == hash(part)
 
 
 def test_cap_refusal():
@@ -139,7 +146,7 @@ def test_cap_refusal():
 
 
 def test_byte_label_bound_is_checked_before_any_work():
-    # labels are bytes, so no cap lets a ground set past 256 be enumerated
+    # 256 is a fixed ceiling: no cap lets a larger ground set be enumerated
     with pytest.raises(ValueError, match="exceeds 256"):
         next(enumerate_partitions(257, cap=300))
     with pytest.raises(ValueError, match="exceeds 256"):
@@ -153,11 +160,13 @@ def test_byte_label_bound_is_checked_before_any_work():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_byte_stream_orders_like_the_tuples(n):
+    # the stream yields tuples; their byte strings, which the seen-set
+    # oracle walks, come in the same order
     strings = list(_rgs_stream(n))
-    tuples = [tuple(s) for s in strings]
-    assert tuples == [p.rgs for p in enumerate_partitions(n)]
+    assert all(type(s) is tuple for s in strings)
+    assert len(strings) == BELL_SMALL[n]
     assert strings == sorted(set(strings))
-    assert tuples == sorted(tuples)
+    assert [bytes(s) for s in strings] == sorted({bytes(s) for s in strings})
 
 
 def test_count_by_blocks_small():
@@ -175,13 +184,26 @@ def test_count_by_blocks_small():
 
 def test_rgs_must_be_canonical():
     with pytest.raises(ValueError):
-        SetPartition(3, (1, 0, 0))
+        SetPartition((1, 0, 0))
     with pytest.raises(ValueError):
-        SetPartition(3, (0, 2, 0))
+        SetPartition((0, 2, 0))
     with pytest.raises(ValueError):
-        SetPartition(3, (0, 0))
-    with pytest.raises(ValueError):
-        SetPartition(0, ())
+        SetPartition(())
+
+
+@given(st.lists(st.integers(min_value=-1, max_value=9), max_size=9).map(tuple))
+@example(())
+@example((0,))
+@example((0, 1, 0, 2, 1))
+@example((0, 1, 3))
+def test_set_partition_accepts_exactly_the_nonempty_canonical_strings(t):
+    try:
+        part = SetPartition(t)
+    except ValueError:
+        assert not t or _canonical(t) != t
+    else:
+        assert t and _canonical(t) == t
+        assert part.n == len(t)
 
 
 def test_blocks_and_from_blocks():
@@ -331,7 +353,7 @@ def test_orbit_walk_at_the_byte_bound():
 
 def test_orbit_summary_consistency():
     with pytest.raises(ValueError):
-        OrbitSummary(SetPartition(2, (0, 0)), 0)
+        OrbitSummary(SetPartition((0, 0)), 0)
 
 
 # ------------------------------------------------------------ fixed points
