@@ -26,13 +26,13 @@ print(f"\nTallies by block count for n=4: {count_by_blocks(4)} (sums to 15)")
 for p, m in [(2, 2), (3, 1), (2, 3)]:
     pp = PrimePower(p, m)
     n = pp.value
-    summaries = orbit_decomposition(n)
+    orbits = tuple(orbit_decomposition(n))  # (representative, size) pairs
     hist: dict[int, int] = {}
-    for s in summaries:
-        hist[s.size] = hist.get(s.size, 0) + 1
-    total = sum(s.size for s in summaries)
+    for _, size in orbits:
+        hist[size] = hist.get(size, 0) + 1
+    total = sum(size for _, size in orbits)
     print(f"\nRotation orbits for n = {p}^{m} = {n} "
-          f"(B_{n} = {total} partitions, {len(summaries)} orbits):")
+          f"(B_{n} = {total} partitions, {len(orbits)} orbits):")
     for size in sorted(hist):
         print(f"  size {size}: {hist[size]} orbit(s)")
     fixed = fixed_partitions(pp)

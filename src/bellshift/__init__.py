@@ -37,7 +37,6 @@ from .modular import (
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
-    OrbitSummary,
     SetPartition,
     apply_shift,
     congruence_class_partition,
@@ -75,7 +74,6 @@ __all__ = [
     "reduce_shift_poly",
     "touchard_check",
     "DEFAULT_ENUMERATION_CAP",
-    "OrbitSummary",
     "SetPartition",
     "apply_shift",
     "congruence_class_partition",

@@ -245,18 +245,19 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
             f"n={pp.p}^{pp.m} exceeds {MAX_GROUND_SET}, the largest ground set "
             "the enumerator takes"
         )
-    summaries = orbit_decomposition(pp.value, cap)
-    total = sum(s.size for s in summaries)
-    hist: dict[int, int] = {}
-    for s in summaries:
-        hist[s.size] = hist.get(s.size, 0) + 1
-    fixed = [s.representative for s in summaries if s.size == 1]
+    hist: dict[int, int] = {}  # orbit size -> orbit count
+    fixed = []
+    for rep, size in orbit_decomposition(pp.value, cap):
+        hist[size] = hist.get(size, 0) + 1
+        if size == 1:
+            fixed.append(rep)
+    total = sum(size * count for size, count in hist.items())
     rows = [
         ("p", pp.p),
         ("m", pp.m),
         ("prime_power", pp.value),
         ("total_partitions", total),
-        ("orbit_count", len(summaries)),
+        ("orbit_count", sum(hist.values())),
     ]
     rows.extend((f"orbit_size_{size}", count) for size, count in sorted(hist.items()))
     rows.extend(

@@ -10,17 +10,17 @@ A partition is stored canonically as a restricted growth string (RGS):
 of first appearance, so ``rgs[0] == 0`` and each entry exceeds the
 running maximum by at most one.  One partition, one string; equality and
 hashing come for free.  ``SetPartition.rgs`` is that string as a
-tuple, and n is its length.  The enumerator's tuples are canonical by
-construction, so ``enumerate_partitions`` skips the check that
+tuple, and n is its length.  The strings both walks below build are
+canonical by construction, so their partitions skip the check that
 ``SetPartition`` runs on strings from elsewhere.
 
 Translation orbits do not go through the enumeration.  A necklace-style
 walk (as in Ruskey, Savage and Wang, "Generating necklaces", 1992)
 extends only the RGS prefixes that can still be the least member of
 their orbit, comparing each rotation after its canonical relabelling,
-so it meets each orbit once at its least member and remembers nothing:
-at n = 11 it keeps 117,989 prefixes for 61,690 orbits, against the
-B_11 = 678,570 strings of the full enumeration.
+so it meets each orbit once, at its least member, yields it as a
+(representative, size) pair and remembers nothing: at n = 11 it keeps
+117,989 prefixes for 61,690 orbits, against B_11 = 678,570 strings.
 
 Enumeration refuses ground sets above a configurable cap (default 12,
 about 4.2 million partitions) so that full orbit decompositions stay at
@@ -38,7 +38,6 @@ from .modular import PrimePower
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "SetPartition",
-    "OrbitSummary",
     "enumerate_partitions",
     "count_by_blocks",
     "apply_shift",
@@ -72,6 +71,8 @@ class SetPartition:
     rgs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rgs, tuple):
+            raise TypeError(f"rgs must be a tuple, not {type(self.rgs).__name__}")
         if not self.rgs:
             raise ValueError("ground set must be nonempty")
         top = 0
@@ -114,17 +115,11 @@ class SetPartition:
         return "|".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks())
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
-    """One orbit of the translation action: lexicographically least member
-    and orbit size; the orbit is a fixed point exactly when its size is 1."""
-
-    representative: SetPartition
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("orbit size must be >= 1")
+def _trusted(rgs: tuple[int, ...]) -> SetPartition:
+    """The partition of a string canonical by construction, left unchecked."""
+    part = object.__new__(SetPartition)
+    vars(part)["rgs"] = rgs
+    return part
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -169,13 +164,10 @@ def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[SetPartition]:
     """Yield every partition of {0,...,n-1} exactly once, in lexicographic
-    RGS order.  The total number yielded is the Bell number B_n."""
+    RGS order.  The total number yielded is the Bell number B_n.  The
+    arguments are checked when it is called."""
     _check_cap(n, cap)
-    for rgs in _rgs_stream(n):
-        # canonical by construction, so skip __post_init__'s re-check
-        part = object.__new__(SetPartition)
-        vars(part)["rgs"] = rgs
-        yield part
+    return map(_trusted, _rgs_stream(n))
 
 
 def count_by_blocks(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
@@ -279,18 +271,18 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def orbit_decomposition(
     modulus: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[OrbitSummary, ...]:
+) -> Iterator[tuple[SetPartition, int]]:
     """Decompose all partitions of Z/(modulus)Z into translation orbits.
 
-    One summary per orbit, holding its lexicographically least member and
-    its size, in the order of those members.  They come from the pruned
-    walk ``_orbit_reps``, which keeps 117,989 RGS prefixes (the root
-    included) for the 61,690 orbits at modulus 11, where a plain
-    enumeration meets all B_11 = 678,570 strings.  Orbit sizes sum to
-    B_modulus, and each size divides the modulus.
+    Checks its arguments, then lazily yields one (representative, size)
+    pair per orbit: the orbit's lexicographically least member, in order
+    of those members, and its size, which divides the modulus (sizes sum
+    to B_modulus).  The pruned walk ``_orbit_reps`` behind it keeps
+    117,989 RGS prefixes (the root included) for the 61,690 orbits at
+    modulus 11, where a plain enumeration meets all B_11 = 678,570 strings.
     """
     _check_cap(modulus, cap)
-    return tuple(OrbitSummary(SetPartition(rgs), size) for rgs, size in _orbit_reps(modulus))
+    return ((_trusted(rgs), size) for rgs, size in _orbit_reps(modulus))
 
 
 def fixed_partitions(
@@ -298,15 +290,13 @@ def fixed_partitions(
 ) -> tuple[SetPartition, ...]:
     """All partitions of Z/p^m Z fixed by every translation.
 
-    These are the orbits of size 1 in the pruned walk behind
-    ``orbit_decomposition`` (5,116 prefixes at p^m = 9, against B_9 =
-    21,147 strings): a partition fixed by the generator shift y = 1 is
-    fixed by the whole cyclic group.  Exactly m+1 partitions qualify, one
-    per block size p^j.
+    These are the representatives of the orbits of size 1 that
+    ``orbit_decomposition`` streams (its walk keeps 5,116 prefixes at
+    p^m = 9, against B_9 = 21,147 strings): a partition fixed by the
+    generator shift y = 1 is fixed by the whole cyclic group.  Exactly
+    m+1 partitions qualify, one per block size p^j.
     """
-    n = pp.value
-    _check_cap(n, cap)
-    return tuple(SetPartition(rgs) for rgs, size in _orbit_reps(n) if size == 1)
+    return tuple(rep for rep, size in orbit_decomposition(pp.value, cap) if size == 1)
 
 
 def congruence_class_partition(pp: PrimePower, j: int) -> SetPartition:

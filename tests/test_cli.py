@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,24 @@ def test_cli_writes_stdout_only_through_emit():
     ]
     assert writers and set(writers) == {"_emit"}
     assert len(writers) == sum(map(writes, ast.walk(tree)))  # none outside a function
+
+
+def test_set_partition_check_is_skipped_only_in_the_trusted_helper():
+    # every other SetPartition under src/ goes through __post_init__'s check
+    def bypasses(node):
+        return isinstance(node, ast.Call) and ast.unparse(node) == "object.__new__(SetPartition)"
+
+    sites = []
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {  # innermost enclosing function, as ast.walk goes outside in
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        sites += [(path.name, owner.get(id(node))) for node in ast.walk(tree) if bypasses(node)]
+    assert sites == [("partitions.py", "_trusted")]
 
 
 # ------------------------------------------------------------------- bell
@@ -275,6 +294,25 @@ def test_orbits_stdout_matches_seen_set_oracle(monkeypatch, capsysbinary, p, m):
     monkeypatch.setattr(cli, "orbit_decomposition", seen_set_orbit_decomposition)
     assert cli.main(args) == 0
     assert capsysbinary.readouterr().out == walked
+
+
+def test_orbits_memory_does_not_grow_with_the_orbit_count(monkeypatch, capsysbinary):
+    # orbits 11 1 meets 61,690 orbits; it needs only their size histogram
+    # and the two fixed partitions, so its traced peak stays far below the
+    # ~19 MB that holding one object per orbit takes
+    for name in [k for k in os.environ if k.startswith("BELLSHIFT_")]:
+        monkeypatch.delenv(name)
+    tracemalloc.start()
+    try:
+        assert cli.main(["orbits", "11", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == (
+        "e3764019901a64906212e367050aa8d1e774ef0b5a068fea6dae45f69fd0b1d4"
+    )
+    assert peak < 2 * 2**20
 
 
 def test_orbits_over_cap_is_usage_error():
@@ -539,8 +577,8 @@ def test_forced_missing_fixed_point_exits_one(monkeypatch, capsys):
     real = cli.orbit_decomposition
 
     def drop_one_fixed(n, cap):
-        out = real(n, cap)
-        victim = next(i for i, s in enumerate(out) if s.size == 1)
+        out = tuple(real(n, cap))
+        victim = next(i for i, (_, size) in enumerate(out) if size == 1)
         return out[:victim] + out[victim + 1 :]
 
     monkeypatch.setattr(cli, "orbit_decomposition", drop_one_fixed)

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from bellshift import (
-    OrbitSummary,
     PrimePower,
     SetPartition,
     apply_shift,
@@ -58,7 +58,7 @@ def _rotate(rgs: bytes, tables: list[bytes]) -> bytes:
 
 def seen_set_orbit_decomposition(
     modulus: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[OrbitSummary, ...]:
+) -> tuple[tuple[SetPartition, int], ...]:
     """Slow oracle for ``orbit_decomposition``: stream all B_modulus
     strings as bytes, walk each new one's orbit under the generator shift
     with ``_rotate``, and remember the members met so the stream skips
@@ -78,7 +78,7 @@ def seen_set_orbit_decomposition(
             seen.add(cur)
             size += 1
             cur = _rotate(cur, tables)
-        out.append(OrbitSummary(SetPartition(tuple(rgs)), size))
+        out.append((SetPartition(tuple(rgs)), size))
     return tuple(out)
 
 
@@ -146,9 +146,10 @@ def test_cap_refusal():
 
 
 def test_byte_label_bound_is_checked_before_any_work():
-    # 256 is a fixed ceiling: no cap lets a larger ground set be enumerated
+    # 256 is a fixed ceiling: no cap lets a larger ground set be enumerated,
+    # and the lazy functions refuse it when called, before any next()
     with pytest.raises(ValueError, match="exceeds 256"):
-        next(enumerate_partitions(257, cap=300))
+        enumerate_partitions(257, cap=300)
     with pytest.raises(ValueError, match="exceeds 256"):
         count_by_blocks(257, 300)
     with pytest.raises(ValueError, match="exceeds 256"):
@@ -156,6 +157,7 @@ def test_byte_label_bound_is_checked_before_any_work():
     with pytest.raises(ValueError, match="exceeds 256"):
         fixed_partitions(PrimePower(257, 1), 300)
     assert next(enumerate_partitions(256, cap=256)).rgs == (0,) * 256
+    assert isinstance(orbit_decomposition(3), Iterator)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -196,7 +198,13 @@ def test_rgs_must_be_canonical():
 @example((0,))
 @example((0, 1, 0, 2, 1))
 @example((0, 1, 3))
+@example([0, 1, 0])
+@example(b"\x00\x01\x00")
 def test_set_partition_accepts_exactly_the_nonempty_canonical_strings(t):
+    if type(t) is not tuple:
+        with pytest.raises(TypeError, match="must be a tuple"):
+            SetPartition(t)
+        return
     try:
         part = SetPartition(t)
     except ValueError:
@@ -297,49 +305,46 @@ def test_closed_form_rotation_at_the_byte_bound():
 
 
 def test_orbit_examples():
-    two = orbit_decomposition(2)
-    assert [s.size for s in two] == [1, 1]
-    assert all(s.size == 1 for s in two)
+    two = [size for _, size in orbit_decomposition(2)]
+    assert two == [1, 1]
+    assert all(size == 1 for size in two)
 
-    three = orbit_decomposition(3)
-    assert sorted(s.size for s in three) == [1, 1, 3]
+    three = [size for _, size in orbit_decomposition(3)]
+    assert sorted(three) == [1, 1, 3]
 
-    four = orbit_decomposition(4)
-    assert sum(1 for s in four if s.size == 1) == 3
-    assert sorted(s.size for s in four) == [1, 1, 1, 2, 2, 4, 4]
+    four = [size for _, size in orbit_decomposition(4)]
+    assert sum(1 for size in four if size == 1) == 3
+    assert sorted(four) == [1, 1, 1, 2, 2, 4, 4]
 
 
 def test_orbit_sizes_divide_modulus_and_sum_to_bell():
     for n in range(1, 10):
-        summaries = orbit_decomposition(n)
-        assert sum(s.size for s in summaries) == BELL_SMALL[n]
-        for s in summaries:
-            assert n % s.size == 0
+        sizes = [size for _, size in orbit_decomposition(n)]
+        assert sum(sizes) == BELL_SMALL[n]
+        for size in sizes:
+            assert n % size == 0
 
 
 def test_orbit_representative_is_lex_least_and_walk_matches_all_shifts():
     for n in range(1, 9):
-        for summary in orbit_decomposition(n):
-            full = {
-                apply_shift(summary.representative, y)
-                for y in range(n)
-            }
-            assert len(full) == summary.size
-            assert min(p.rgs for p in full) == summary.representative.rgs
+        for rep, size in orbit_decomposition(n):
+            full = {apply_shift(rep, y) for y in range(n)}
+            assert len(full) == size
+            assert min(p.rgs for p in full) == rep.rgs
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_orbit_walk_matches_seen_set_oracle(n):
     # same representatives, in the same order, with the same sizes
-    assert orbit_decomposition(n) == seen_set_orbit_decomposition(n)
+    assert tuple(orbit_decomposition(n)) == seen_set_orbit_decomposition(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_orbit_images_cover_every_partition_once(n):
     images = [
-        apply_shift(s.representative, y)
-        for s in orbit_decomposition(n)
-        for y in range(s.size)
+        apply_shift(rep, y)
+        for rep, size in orbit_decomposition(n)
+        for y in range(size)
     ]
     assert sorted(p.rgs for p in images) == [p.rgs for p in enumerate_partitions(n)]
 
@@ -349,11 +354,6 @@ def test_orbit_walk_at_the_byte_bound():
     t0 = time.perf_counter()
     assert next(_orbit_reps(256)) == ((0,) * 256, 1)
     assert time.perf_counter() - t0 < 1.0
-
-
-def test_orbit_summary_consistency():
-    with pytest.raises(ValueError):
-        OrbitSummary(SetPartition((0, 0)), 0)
 
 
 # ------------------------------------------------------------ fixed points
