@@ -290,13 +290,15 @@ def fixed_partitions(
 ) -> tuple[SetPartition, ...]:
     """All partitions of Z/p^m Z fixed by every translation.
 
-    These are the representatives of the orbits of size 1 that
-    ``orbit_decomposition`` streams (its walk keeps 5,116 prefixes at
+    These are the representatives of the orbits of size 1 that the walk
+    behind ``orbit_decomposition`` meets (it keeps 5,116 prefixes at
     p^m = 9, against B_9 = 21,147 strings): a partition fixed by the
     generator shift y = 1 is fixed by the whole cyclic group.  Exactly
-    m+1 partitions qualify, one per block size p^j.
+    m+1 partitions qualify, one per block size p^j, and only they are
+    wrapped as ``SetPartition``.
     """
-    return tuple(rep for rep, size in orbit_decomposition(pp.value, cap) if size == 1)
+    _check_cap(pp.value, cap)
+    return tuple(_trusted(rgs) for rgs, size in _orbit_reps(pp.value) if size == 1)
 
 
 def congruence_class_partition(pp: PrimePower, j: int) -> SetPartition:

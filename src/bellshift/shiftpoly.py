@@ -9,9 +9,9 @@ and two independent ways to construct it:
 * closed form: the coefficient of x^r is B_{j-r} * C(j, r), read off
   exact Bell and Pascal tables;
 * recurrence: P_0(x) = 1 and P_{j+1}(x) = P_j(x+1) + x * P_j(x), iterated
-  on coefficient sequences without consulting any Bell table.  The
-  substitution x -> x+1 is the Ruffini/Horner Taylor shift, which uses
-  additions only.
+  on coefficient sequences without consulting any Bell table: a
+  tridiagonal step in the falling-factorial basis (the Bell J-fraction),
+  then one Newton-to-monomial conversion.
 
 The two paths must agree coefficient by coefficient, which is what makes
 each a meaningful check on the other.  j = 0 is admitted as the identity
@@ -21,13 +21,10 @@ Both constructions return P_j as the plain tuple of its j + 1
 coefficients in ascending degree order, so ``poly[r]`` multiplies x^r and
 ``len(poly) - 1`` is the shift j.  The polynomial is monic of degree
 exactly j (the top coefficient is B_0 = 1) and its constant term is B_j.
-Ascending order is the natural one for Horner evaluation; the Taylor
-shift that expands P_j(x+1) works on a descending copy.
+Ascending order is the natural one for Horner evaluation.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 __all__ = [
     "shift_poly_closed",
@@ -54,26 +51,34 @@ def shift_poly_closed(
 def shift_poly_recursive(j: int) -> tuple[int, ...]:
     """P_j by iterating P_{j+1}(x) = P_j(x+1) + x * P_j(x) from P_0 = 1.
 
-    P(x+1) is expanded by the Ruffini/Horner Taylor shift on the
-    coefficients taken highest degree first: each pass replaces a prefix
-    by its running sums, which is one synthetic division by (x - 1), and
-    leaves the remainder, the next Taylor coefficient at 1, in the last
-    place of the prefix; the prefix then shrinks by one.  After deg
-    passes the coefficient of x^r is sum_{s>=r} c_s * C(s, r), the
-    binomial expansion of P(x+1), reached with O(deg^2) additions and no
-    binomial coefficients.  No Bell numbers enter anywhere, so the result
-    is independent of the closed form.
+    In the falling-factorial basis (x)_i = x(x-1)...(x-i+1) the step is
+    T (x)_i = (x)_{i+1} + (i+1) (x)_i + i (x)_{i-1}, so the coefficients c_k
+    of P become c_{k-1} + (k+1) * (c_k + c_{k+1}): O(j) small multiples per
+    step.  Horner on the factors (x - i) then expands the Newton form
+    c_0 + x (c_1 + (x-1) (c_2 + ...)) once, in O(j^2).  Neither stage reads
+    a Bell number or a binomial coefficient, so the result is independent
+    of the closed form.
     """
     if j < 0:
         raise ValueError("shift j must be >= 0")
-    desc = [1]  # coefficients of P_0, highest degree first
+    c = [1]  # falling-factorial coefficients of P_0
     for _ in range(j):
-        shifted = desc[:]
-        for m in range(len(shifted), 1, -1):
-            shifted[:m] = accumulate(shifted[:m])
-        # P(x+1) + x * P(x)
-        desc = [a + b for a, b in zip([0, *shifted], desc + [0])]
-    return tuple(reversed(desc))
+        c = _tridiagonal_step(c)
+    return _falling_to_monomial(c)
+
+
+def _tridiagonal_step(c: list[int]) -> list[int]:
+    """Falling-factorial coefficients of P(x+1) + x * P(x), given P's."""
+    lo, mid, hi = [0, *c], c + [0], c[1:] + [0, 0]
+    return [a + k * (b + d) for k, (a, b, d) in enumerate(zip(lo, mid, hi), 1)]
+
+
+def _falling_to_monomial(c: list[int]) -> tuple[int, ...]:
+    """Ascending monomial coefficients of sum_i c[i] * (x)_i."""
+    poly: list[int] = []
+    for i in range(len(c) - 1, -1, -1):  # poly * (x - i) + c[i]
+        poly = [a - i * b for a, b in zip([c[i], *poly], poly + [0])]
+    return tuple(poly)
 
 
 def eval_poly(poly: tuple[int, ...], x: int) -> int:
@@ -85,6 +90,9 @@ def eval_poly(poly: tuple[int, ...], x: int) -> int:
     return acc
 
 
+_values: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())  # last (P, (P(1), P(2), ...))
+
+
 def bell_shift(
     n: int, j: int, tri: tuple[tuple[int, ...], ...], poly: tuple[int, ...]
 ) -> int:
@@ -92,7 +100,14 @@ def bell_shift(
 
     ``poly`` must be the shift polynomial for this ``j``; the Stirling
     triangle must reach row ``n``.
+
+    The values P_j(1), P_j(2), ... of the last polynomial are kept, so a
+    sweep over n at a fixed ``poly`` evaluates each once.  The memo holds
+    one polynomial, keyed by its coefficients' value (a list mutated
+    between calls is evaluated afresh), and is replaced by one assignment:
+    concurrent callers may repeat work but never read wrong values.
     """
+    global _values
     if n < 1:
         raise ValueError("n must be >= 1")
     if j < 0:
@@ -101,5 +116,9 @@ def bell_shift(
         raise ValueError(f"polynomial is for shift {len(poly) - 1}, not {j}")
     if len(tri) <= n:
         raise ValueError(f"Stirling triangle too shallow: need row {n}, have {len(tri) - 1}")
-    row = tri[n]
-    return sum(eval_poly(poly, k) * row[k] for k in range(1, n + 1))
+    key, values = _values
+    if key != tuple(poly):
+        key, values = tuple(poly), ()
+    values += tuple(eval_poly(key, k) for k in range(len(values) + 1, n + 1))
+    _values = key, values
+    return sum(v * s for v, s in zip(values, tri[n][1 : n + 1]))

@@ -505,6 +505,8 @@ RECORDED_DIGESTS = {
     ("stirling 12", "json-lines"): "c2cea6f083348c8c370f41d38c5ca4aeebb06eb90ecdff939dd1ba574d70b5f1",
     ("shift-poly 10 --check-recursive", "tsv"): "0a03547a4500b6d5b282e24da5c2eeacda1632100b5bb530f9574ea08fdf2bee",
     ("shift-poly 10 --check-recursive", "json-lines"): "bbae2e2083d4b0512adb63d500a3c2b5c0f871a29cb74ceffe3c1ab0dd4842da",
+    ("shift-poly 250 --check-recursive --depth 250", "tsv"): "c5513134eca1ec72c454b2aaaf92a3db8178480820fc2a94bf6eadccf602ddb0",
+    ("shift-poly 250 --check-recursive --depth 250", "json-lines"): "7b85d3808f1d448417f0f0277f7b58179c3d1bba6417e3e6562456b4b85b1930",
     ("verify 3 2", "tsv"): "431000869204c7128ebfd2e463683c185f099b6cf998bff25a502cdc50c83ffb",
     ("verify 3 2", "json-lines"): "652d7ffc06a9cab69d9042075ecff071d2efcc56e514630390bb0fc564c8807c",
     ("orbits 3 1", "tsv"): "a31297acc8984ca71e62fcb318c64d3ababd2ef3f80c0dbee9ef90e5142380a0",

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import sys
+import threading
+from itertools import accumulate
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +17,37 @@ from bellshift import (
     shift_poly_closed,
     shift_poly_recursive,
 )
-
+from bellshift.shiftpoly import _falling_to_monomial, _tridiagonal_step
 from conftest import BELL_SMALL
+
+
+def _taylor_step(desc: list[int]) -> list[int]:
+    """P(x+1) + x * P(x) on coefficients taken highest degree first.
+
+    P(x+1) is expanded by the Ruffini/Horner Taylor shift: each pass
+    replaces a prefix by its running sums, which is one synthetic division
+    by (x - 1), and leaves the remainder, the next Taylor coefficient at 1,
+    in the last place of the prefix; the prefix then shrinks by one.  After
+    deg passes the coefficient of x^r is sum_{s>=r} c_s * C(s, r), reached
+    with O(deg^2) additions and no binomial coefficients.
+    """
+    shifted = desc[:]
+    for m in range(len(shifted), 1, -1):
+        shifted[:m] = accumulate(shifted[:m])
+    return [a + b for a, b in zip([0, *shifted], desc + [0])]
+
+
+def _taylor_shift_poly(j: int) -> tuple[int, ...]:
+    """The slow oracle for P_j: the Taylor-shift step iterated in the
+    monomial basis, O(j^3) additions, no Bell number anywhere."""
+    desc = [1]
+    for _ in range(j):
+        desc = _taylor_step(desc)
+    return tuple(reversed(desc))
+
+
+def _memo_free_bell_shift(n, poly, tri):
+    return sum(eval_poly(poly, k) * tri[n][k] for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------- closed form
@@ -68,6 +102,38 @@ def test_recursive_rejects_negative():
 def test_both_constructions_agree(bell300, binom300):
     for j in range(0, 61):
         assert shift_poly_recursive(j) == shift_poly_closed(j, bell300, binom300)
+
+
+def test_recurrence_matches_the_taylor_shift_oracle():
+    for j in [*range(0, 61), 250]:
+        assert shift_poly_recursive(j) == _taylor_shift_poly(j)
+
+
+def test_falling_factorial_coefficients_of_p5():
+    c = [1]
+    for _ in range(5):
+        c = _tridiagonal_step(c)
+    assert c == [52, 151, 160, 75, 15, 1]
+    assert c[0] == BELL_SMALL[5]
+    assert _falling_to_monomial(c) == (52, 75, 50, 20, 5, 1)
+
+
+@given(c=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=10))
+def test_tridiagonal_step_is_the_paper_step(c):
+    # One step in the falling-factorial basis, then the conversion, equals
+    # P(x+1) + x * P(x) computed on monomial coefficients.
+    poly = _falling_to_monomial(c)
+    expected = tuple(reversed(_taylor_step(list(reversed(poly)))))
+    assert _falling_to_monomial(_tridiagonal_step(c)) == expected
+
+
+@given(c=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8))
+def test_newton_conversion_evaluates_like_the_falling_factorial_sum(c):
+    poly = _falling_to_monomial(c)
+    assert len(poly) == len(c)
+    for x in range(-3, len(c) + 3):
+        naive = sum(ci * prod(x - t for t in range(i)) for i, ci in enumerate(c))
+        assert eval_poly(poly, x) == naive
 
 
 # ----------------------------------------------------------------- evaluation
@@ -139,3 +205,76 @@ def test_shift_identity_against_small_bell_values(stirling50):
         for j in range(0, 7):
             poly = shift_poly_recursive(j)
             assert bell_shift(n, j, stirling50, poly) == BELL_SMALL[n + j]
+
+
+# ------------------------------------------------------- bell_shift's memo
+
+
+@pytest.mark.parametrize("order", ["n-outer", "j-outer"])
+def test_memo_matches_oracle_on_interleaved_sweeps(stirling50, order):
+    # criterion 2's (n, j) range, taken in both orders
+    polys = [shift_poly_recursive(j) for j in range(16)]
+    pairs = [(n, j) for n in range(1, 31) for j in range(16)]
+    if order == "j-outer":
+        pairs.sort(key=lambda nj: (nj[1], nj[0]))
+    for n, j in pairs:
+        assert bell_shift(n, j, stirling50, polys[j]) == _memo_free_bell_shift(
+            n, polys[j], stirling50
+        )
+
+
+def test_memo_matches_oracle_on_decreasing_n(stirling50):
+    poly = shift_poly_recursive(9)
+    for n in range(40, 0, -1):
+        assert bell_shift(n, 9, stirling50, poly) == _memo_free_bell_shift(n, poly, stirling50)
+
+
+def test_memo_reuses_equal_but_distinct_tuples(stirling50):
+    poly = shift_poly_recursive(7)
+    twin = tuple(list(poly))
+    assert twin == poly and twin is not poly
+    for n, p in ((10, poly), (20, twin), (5, poly), (25, twin)):
+        assert bell_shift(n, 7, stirling50, p) == _memo_free_bell_shift(n, p, stirling50)
+
+
+def test_memo_tells_apart_polynomials_of_one_length(stirling50):
+    p4 = shift_poly_recursive(4)
+    other = (1, 2, 3, 4, 5)
+    for n in (3, 12, 12, 7, 30):
+        for p in (p4, other):
+            assert bell_shift(n, 4, stirling50, p) == _memo_free_bell_shift(n, p, stirling50)
+
+
+def test_memo_sees_a_list_mutated_in_place(stirling50):
+    coeffs = list(shift_poly_recursive(3))
+    assert bell_shift(9, 3, stirling50, coeffs) == BELL_SMALL[12]
+    coeffs[0] += 1
+    assert bell_shift(10, 3, stirling50, coeffs) == _memo_free_bell_shift(10, coeffs, stirling50)
+    coeffs[-1] = 7
+    assert bell_shift(5, 3, stirling50, coeffs) == _memo_free_bell_shift(5, coeffs, stirling50)
+
+
+def test_memo_under_threads_sweeping_different_polynomials(stirling50):
+    polys = [shift_poly_recursive(j) for j in range(8)]
+    polys += [tuple(c + i for c in p) for i, p in enumerate(polys, 1)]
+    wrong: list[tuple[int, int]] = []
+
+    def sweep(j, poly):
+        for _ in range(3):
+            for n in range(1, 41):
+                expected = _memo_free_bell_shift(n, poly, stirling50)
+                if bell_shift(n, j, stirling50, poly) != expected:
+                    wrong.append((n, j))
+
+    threads = [threading.Thread(target=sweep, args=(len(p) - 1, p)) for p in polys]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
