@@ -10,6 +10,7 @@ modular demo.
 
 from bellshift import (
     PrimePower,
+    SetPartition,
     congruence_class_partition,
     count_by_blocks,
     enumerate_partitions,
@@ -18,8 +19,8 @@ from bellshift import (
 )
 
 print("All 15 partitions of a 4-element set, as blocks:")
-for part in enumerate_partitions(4):
-    print(f"  {part}")
+for rgs in enumerate_partitions(4):
+    print(f"  {SetPartition(rgs)}")
 
 print(f"\nTallies by block count for n=4: {count_by_blocks(4)} (sums to 15)")
 

@@ -18,7 +18,6 @@ The command-line entry point lives in :mod:`bellshift.cli`.
 """
 
 from .exact import (
-    bell_from_stirling,
     build_bell_binomial,
     build_binomials,
     build_stirling,
@@ -55,7 +54,6 @@ from .shiftpoly import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "bell_from_stirling",
     "build_bell_binomial",
     "build_binomials",
     "build_stirling",

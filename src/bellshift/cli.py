@@ -44,7 +44,12 @@ from .modular import (
     reduce_shift_poly,
     touchard_check,
 )
-from .partitions import DEFAULT_ENUMERATION_CAP, MAX_GROUND_SET, orbit_decomposition
+from .partitions import (
+    DEFAULT_ENUMERATION_CAP,
+    MAX_GROUND_SET,
+    SetPartition,
+    orbit_decomposition,
+)
 from .shiftpoly import shift_poly_closed, shift_poly_recursive
 
 EXIT_OK = 0
@@ -268,7 +273,7 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
             ("fixed_residue", len(fixed) % pp.p),
         ]
     )
-    rows.extend((f"fixed_{i}", str(part)) for i, part in enumerate(fixed))
+    rows.extend((f"fixed_{i}", str(SetPartition(rgs))) for i, rgs in enumerate(fixed))
     return _report(ns, rows, len(fixed) == pp.m + 1 and len(fixed) % pp.p == total % pp.p)
 
 

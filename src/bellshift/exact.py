@@ -46,7 +46,6 @@ __all__ = [
     "stirling_rows",
     "build_stirling",
     "build_bell_binomial",
-    "bell_from_stirling",
 ]
 
 
@@ -100,10 +99,3 @@ def build_bell_binomial(n_max: int) -> tuple[int, ...]:
         row = list(accumulate(row, initial=row[-1]))
         values.append(row[0])
     return tuple(values)
-
-
-def bell_from_stirling(tri: tuple[tuple[int, ...], ...], n: int) -> int:
-    """B_n as the row sum of the Stirling triangle; row 0 is (1,), so B_0 = 1."""
-    if not 0 <= n < len(tri):
-        raise ValueError(f"index {n} not in triangle (rows 0..{len(tri) - 1})")
-    return sum(tri[n])

@@ -9,10 +9,9 @@ A partition is stored canonically as a restricted growth string (RGS):
 ``rgs[i]`` is the block label of element i, labels are assigned in order
 of first appearance, so ``rgs[0] == 0`` and each entry exceeds the
 running maximum by at most one.  One partition, one string; equality and
-hashing come for free.  ``SetPartition.rgs`` is that string as a
-tuple, and n is its length.  The strings both walks below build are
-canonical by construction, so their partitions skip the check that
-``SetPartition`` runs on strings from elsewhere.
+hashing come for free.  The streams below yield these strings as plain
+tuples; ``SetPartition`` is the checked, printable view of one, and n is
+the string's length.
 
 Translation orbits do not go through the enumeration.  A necklace-style
 walk (as in Ruskey, Savage and Wang, "Generating necklaces", 1992)
@@ -75,6 +74,8 @@ class SetPartition:
             raise TypeError(f"rgs must be a tuple, not {type(self.rgs).__name__}")
         if not self.rgs:
             raise ValueError("ground set must be nonempty")
+        if not all(type(v) is int for v in self.rgs):
+            raise TypeError(f"rgs labels must be of type int: {self.rgs}")
         top = 0
         for i, v in enumerate(self.rgs):
             if v < 0 or v > top:
@@ -87,6 +88,9 @@ class SetPartition:
         """Build from explicit blocks, which must partition {0,...,n-1}."""
         labels: dict[int, int] = {}
         for b, block in enumerate(blocks):
+            block = tuple(block)
+            if not block:
+                raise ValueError(f"block {b} is empty")
             for x in block:
                 if x in labels:
                     raise ValueError(f"element {x} appears in two blocks")
@@ -113,13 +117,6 @@ class SetPartition:
 
     def __str__(self) -> str:
         return "|".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks())
-
-
-def _trusted(rgs: tuple[int, ...]) -> SetPartition:
-    """The partition of a string canonical by construction, left unchecked."""
-    part = object.__new__(SetPartition)
-    vars(part)["rgs"] = rgs
-    return part
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -162,12 +159,14 @@ def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
             b[k] = v
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[SetPartition]:
-    """Yield every partition of {0,...,n-1} exactly once, in lexicographic
-    RGS order.  The total number yielded is the Bell number B_n.  The
-    arguments are checked when it is called."""
+def enumerate_partitions(
+    n: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[tuple[int, ...]]:
+    """Yield the RGS of every partition of {0,...,n-1} exactly once, as a
+    tuple, in lexicographic order.  The total number yielded is the Bell
+    number B_n.  The arguments are checked when it is called."""
     _check_cap(n, cap)
-    return map(_trusted, _rgs_stream(n))
+    return _rgs_stream(n)
 
 
 def count_by_blocks(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
@@ -271,18 +270,18 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def orbit_decomposition(
     modulus: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[SetPartition, int]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Decompose all partitions of Z/(modulus)Z into translation orbits.
 
     Checks its arguments, then lazily yields one (representative, size)
-    pair per orbit: the orbit's lexicographically least member, in order
+    pair per orbit: the RGS tuple of the orbit's least member, in order
     of those members, and its size, which divides the modulus (sizes sum
     to B_modulus).  The pruned walk ``_orbit_reps`` behind it keeps
     117,989 RGS prefixes (the root included) for the 61,690 orbits at
     modulus 11, where a plain enumeration meets all B_11 = 678,570 strings.
     """
     _check_cap(modulus, cap)
-    return ((_trusted(rgs), size) for rgs, size in _orbit_reps(modulus))
+    return _orbit_reps(modulus)
 
 
 def fixed_partitions(
@@ -298,7 +297,7 @@ def fixed_partitions(
     wrapped as ``SetPartition``.
     """
     _check_cap(pp.value, cap)
-    return tuple(_trusted(rgs) for rgs, size in _orbit_reps(pp.value) if size == 1)
+    return tuple(SetPartition(rgs) for rgs, size in _orbit_reps(pp.value) if size == 1)
 
 
 def congruence_class_partition(pp: PrimePower, j: int) -> SetPartition:

@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from bellshift import (
-    bell_from_stirling,
     build_bell_binomial,
     build_binomials,
     build_stirling,
@@ -101,22 +100,6 @@ def test_stirling_value_accessor():
 # ------------------------------------------------------------- bell numbers
 
 
-def test_bell_from_stirling_values():
-    tri = build_stirling(10)
-    assert bell_from_stirling(tri, 0) == 1
-    assert bell_from_stirling(tri, 3) == sum(1 for _ in enumerate_partitions(3)) == 5
-    assert bell_from_stirling(tri, 5) == 52
-
-
-def test_bell_from_stirling_range_check(stirling50):
-    # a deep triangle sliced to rows 0..4 is as shallow as a built one
-    for tri in (build_stirling(4), stirling50[:5]):
-        with pytest.raises(ValueError):
-            bell_from_stirling(tri, 5)
-        with pytest.raises(ValueError):
-            bell_from_stirling(tri, -1)
-
-
 def test_bell_binomial_values():
     table = build_bell_binomial(9)
     assert table[0] == 1
@@ -143,7 +126,7 @@ def test_bell_value_accessor():
 def test_cross_recurrence_equivalence(stirling50):
     table = build_bell_binomial(50)
     for n in range(51):
-        assert table[n] == bell_from_stirling(stirling50, n)
+        assert table[n] == sum(stirling50[n])
         if n >= 1:
             assert table[n] == sum(stirling50[n][1:])
 
