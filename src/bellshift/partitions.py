@@ -13,6 +13,15 @@ hashing come for free.  The streams below yield these strings as plain
 tuples; ``SetPartition`` is the checked, printable view of one, and n is
 the string's length.
 
+One walk over the prefixes of length n-1 serves both the stream and the
+tally by block count.  It keeps each prefix's block count beside it, as
+Knuth's Algorithm H (TAOCP 7.2.1.5) keeps the running maximum, so the
+stream appends the last entry to one tuple per prefix, and the tally
+adds one per string to the count that the last entry decides, without
+building or scanning the string.  It does not add a whole prefix's
+strings at once: that is the Stirling recurrence, which the tally is
+there to check.
+
 Translation orbits do not go through the enumeration.  A necklace-style
 walk (as in Ruskey, Savage and Wang, "Generating necklaces", 1992)
 extends only the RGS prefixes that can still be the least member of
@@ -92,6 +101,8 @@ class SetPartition:
             if not block:
                 raise ValueError(f"block {b} is empty")
             for x in block:
+                if type(x) is not int:
+                    raise TypeError(f"block elements must be of type int: {block}")
                 if x in labels:
                     raise ValueError(f"element {x} appears in two blocks")
                 labels[x] = b
@@ -120,6 +131,9 @@ class SetPartition:
 
 
 def _check_cap(n: int, cap: int) -> None:
+    for name, value in (("n", n), ("cap", cap)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be of type int, not {type(value).__name__}")
     if cap < 1:
         raise ValueError("enumeration cap must be >= 1")
     if n < 1:
@@ -132,21 +146,21 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical RGS of length n, as tuples, in lexicographic order.
+def _prefix_walk(n: int) -> Iterator[tuple[list[int], int]]:
+    """Every canonical RGS prefix of length n-1, in lexicographic order,
+    with its block count.
 
-    The walk steps through the first n-1 entries; each such prefix is
-    made a tuple once, and the last entry, which runs over 0..b[-1], is
-    appended to it, so a string costs one short concatenation.
+    Each step yields the live list ``a``, whose first n-1 entries hold the
+    prefix (its last entry is scratch), and ``top`` = ``b[-1]``, the
+    prefix's block count, which is also the largest value the last entry
+    may take.  The walk rewrites ``a`` when resumed, so a caller that
+    keeps a prefix copies it first.
     """
-    last = [(v,) for v in range(n)]
     a = [0] * n  # current string
     b = [1] * n  # largest value a[i] may take: 1 + max(a[:i]), and 0 for i = 0
     b[0] = 0
     while True:
-        head = tuple(a[:-1])
-        for tail in last[: b[-1] + 1]:
-            yield head + tail
+        yield a, b[-1]
         i = n - 2
         while i > 0 and a[i] == b[i]:
             i -= 1
@@ -157,6 +171,20 @@ def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
         for k in range(i + 1, n):
             a[k] = 0
             b[k] = v
+
+
+def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
+    """All canonical RGS of length n, as tuples, in lexicographic order.
+
+    Each prefix of ``_prefix_walk`` is made a tuple once, and the last
+    entry, which runs over 0..top, is appended to it, so a string costs
+    one short concatenation.
+    """
+    last = [(v,) for v in range(n)]
+    for a, top in _prefix_walk(n):
+        head = tuple(a[:-1])
+        for tail in last[: top + 1]:
+            yield head + tail
 
 
 def enumerate_partitions(
@@ -174,12 +202,23 @@ def count_by_blocks(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ..
 
     Entry i of the result is the number of partitions with exactly i+1
     blocks, i.e. the brute-force value of {n brace i+1}.
+
+    Each string's block count is read off the prefix walk, not off a
+    built string: under a prefix with ``top`` blocks, the ``top``
+    strings whose last entry lies below ``top`` have ``top`` blocks and
+    the one ending in ``top`` has ``top + 1``.  The tally still adds one
+    per string, as Algorithm H (TAOCP 7.2.1.5) visits each; adding
+    ``top`` and 1 once per prefix would be the Stirling recurrence
+    {n brace k} = k {n-1 brace k} + {n-1 brace k-1} itself, and the
+    count would no longer check it independently.
     """
     _check_cap(n, cap)
-    counts = [0] * n
-    for rgs in _rgs_stream(n):
-        counts[max(rgs)] += 1
-    return tuple(counts)
+    counts = [0] * (n + 1)  # counts[k]: strings with k blocks
+    for _, top in _prefix_walk(n):
+        for _ in range(top):  # the last entry joins one of the top blocks
+            counts[top] += 1
+        counts[top + 1] += 1  # the last entry opens a block of its own
+    return tuple(counts[1:])
 
 
 def apply_shift(part: SetPartition, y: int) -> SetPartition:

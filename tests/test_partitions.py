@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 from collections.abc import Iterator
 
@@ -80,6 +81,15 @@ def seen_set_orbit_decomposition(
             cur = _rotate(cur, tables)
         out.append((tuple(rgs), size))
     return tuple(out)
+
+
+def max_tally_by_blocks(n: int) -> tuple[int, ...]:
+    """Slow oracle for ``count_by_blocks``: build every string and tally
+    it by its largest label, one more than its block count's index."""
+    counts = [0] * n
+    for rgs in enumerate_partitions(n):
+        counts[max(rgs)] += 1
+    return tuple(counts)
 
 
 @st.composite
@@ -175,7 +185,31 @@ def test_byte_stream_orders_like_the_tuples(n):
     assert [bytes(s) for s in strings] == sorted({bytes(s) for s in strings})
 
 
+# sha256 over repr() of every string of _rgs_stream(n), n = 1..10 in turn:
+# it pins both the strings and their order
+RGS_STREAM_1_TO_10_SHA256 = "5ff0b806bcc1851fada1d23675fa5988b8781313428fb3c5789ee88b54c251b9"
+
+
+def test_rgs_stream_order_is_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 11):
+        for rgs in _rgs_stream(n):
+            h.update(repr(rgs).encode())
+    assert h.hexdigest() == RGS_STREAM_1_TO_10_SHA256
+
+
+@pytest.mark.parametrize("bad", [True, False, 3.0, "3", None])
+def test_sizes_must_be_ints_before_any_work(bad):
+    # bool is refused too, though it is an int subclass and compares as one
+    for call in (count_by_blocks, enumerate_partitions, orbit_decomposition):
+        with pytest.raises(TypeError, match="n must be of type int"):
+            call(bad, 12)
+        with pytest.raises(TypeError, match="cap must be of type int"):
+            call(3, bad)
+
+
 def test_count_by_blocks_small():
+    assert count_by_blocks(1) == (1,)
     assert count_by_blocks(3) == (1, 3, 1)
     assert count_by_blocks(4) == (1, 7, 6, 1)
     for n in range(1, 9):
@@ -183,6 +217,11 @@ def test_count_by_blocks_small():
         assert tallies[0] == 1  # one single-block partition
         assert tallies[n - 1] == 1  # one all-singletons partition
         assert sum(tallies) == BELL_SMALL[n]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_count_by_blocks_matches_per_string_max_tally(n):
+    assert count_by_blocks(n) == max_tally_by_blocks(n)
 
 
 # ------------------------------------------------------------ SetPartition
@@ -241,6 +280,11 @@ def test_from_blocks_rejects_bad_input():
         SetPartition.from_blocks([])
     with pytest.raises(ValueError, match="empty"):
         SetPartition.from_blocks([(0, 1), (), (2,)])
+    # elements that merely equal ints are refused, as in the constructor
+    with pytest.raises(TypeError, match="must be of type int"):
+        SetPartition.from_blocks([(0, 1.0), (2.0,)])
+    with pytest.raises(TypeError, match="must be of type int"):
+        SetPartition.from_blocks([(False,), (True,)])
 
 
 @given(set_partitions())
