@@ -17,66 +17,15 @@ The package has four layers:
 The command-line entry point lives in :mod:`bellshift.cli`.
 """
 
-from .exact import (
-    build_bell_binomial,
-    build_binomials,
-    build_stirling,
-    stirling_rows,
-)
-from .modular import (
-    CongruenceReport,
-    PrimePower,
-    bell_mod_p_stream,
-    bell_prime_power_residue,
-    binomial_vanishing_check,
-    is_prime,
-    prime_powers_up_to,
-    reduce_shift_poly,
-    touchard_check,
-)
-from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
-    SetPartition,
-    apply_shift,
-    congruence_class_partition,
-    count_by_blocks,
-    enumerate_partitions,
-    fixed_partitions,
-    orbit_decomposition,
-)
-from .shiftpoly import (
-    bell_shift,
-    eval_poly,
-    shift_poly_closed,
-    shift_poly_recursive,
-)
+from . import exact, modular, partitions, shiftpoly
+from .exact import *
+from .modular import *
+from .partitions import *
+from .shiftpoly import *
 
 __version__ = "0.1.0"
 
+# each layer's own __all__, sorted, layer by layer
 __all__ = [
-    "build_bell_binomial",
-    "build_binomials",
-    "build_stirling",
-    "stirling_rows",
-    "bell_shift",
-    "eval_poly",
-    "shift_poly_closed",
-    "shift_poly_recursive",
-    "CongruenceReport",
-    "PrimePower",
-    "bell_mod_p_stream",
-    "bell_prime_power_residue",
-    "binomial_vanishing_check",
-    "is_prime",
-    "prime_powers_up_to",
-    "reduce_shift_poly",
-    "touchard_check",
-    "DEFAULT_ENUMERATION_CAP",
-    "SetPartition",
-    "apply_shift",
-    "congruence_class_partition",
-    "count_by_blocks",
-    "enumerate_partitions",
-    "fixed_partitions",
-    "orbit_decomposition",
+    name for layer in (exact, shiftpoly, modular, partitions) for name in sorted(layer.__all__)
 ]

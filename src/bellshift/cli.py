@@ -20,7 +20,10 @@ same flags always produce byte-identical bytes.
 Exit codes are load-bearing: 0 = all checks passed, 1 = a mathematical
 counterexample was found, 2 = usage or configuration error, 3 = internal
 error (the traceback goes to stderr), 141 = the reader of stdout went
-away (the status a shell reports for a writer killed by SIGPIPE).
+away (the status a shell reports for a writer killed by SIGPIPE).  A
+usage error is refused before any work, with one ``error:`` line on
+stderr in the words of the check that owns the limit, as in
+``error: n=16 exceeds the enumeration cap of 12``.
 
 Configuration precedence is flags over the environment variables
 ``BELLSHIFT_DEPTH`` / ``BELLSHIFT_CAP`` over built-in defaults (200 and
@@ -44,12 +47,7 @@ from .modular import (
     reduce_shift_poly,
     touchard_check,
 )
-from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
-    MAX_GROUND_SET,
-    SetPartition,
-    orbit_decomposition,
-)
+from .partitions import DEFAULT_ENUMERATION_CAP, SetPartition, orbit_decomposition
 from .shiftpoly import shift_poly_closed, shift_poly_recursive
 
 EXIT_OK = 0
@@ -129,9 +127,9 @@ def _report(ns: argparse.Namespace, rows: list[tuple[str, object]], ok: bool) ->
     return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
-def _limit(flag: int | None, env: str, default: int, low: int, what: str) -> int:
+def _limit(flag: int | None, env: str, default: int) -> int:
     """The flag if given, else the environment variable if set, else the
-    default; below ``low`` is a usage error."""
+    default; the check that uses the value refuses what it cannot take."""
     if flag is not None:
         value = flag
     elif (raw := os.environ.get(env)) is None:
@@ -141,13 +139,11 @@ def _limit(flag: int | None, env: str, default: int, low: int, what: str) -> int
             value = int(raw)
         except ValueError:
             raise UsageError(f"environment variable {env}={raw!r} is not an integer")
-    if value < low:
-        raise UsageError(f"{what} must be >= {low}")
     return value
 
 
 def _depth(ns: argparse.Namespace) -> int:
-    return _limit(ns.depth, DEPTH_ENV, DEFAULT_TABLE_DEPTH, 0, "table depth")
+    return _limit(ns.depth, DEPTH_ENV, DEFAULT_TABLE_DEPTH)
 
 
 def _need_depth(ns: argparse.Namespace, needed: int, what: str) -> None:
@@ -161,11 +157,21 @@ def _need_depth(ns: argparse.Namespace, needed: int, what: str) -> None:
         )
 
 
-def _prime_power(p: int, m: int) -> PrimePower:
+def _checked(call, *args):
+    """``call(*args)``, a ``ValueError`` made a usage error: only for calls
+    that check their arguments before any work, so a fault in work exits 3."""
     try:
-        return PrimePower(p, m)
+        return call(*args)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _power(pp: PrimePower, limit: int, refusal: str) -> int:
+    """p^m, refused before it is formed if m is past the bit length of
+    ``limit`` (p^m >= 2^m), since a huge power is slow to build and print."""
+    if pp.m > limit.bit_length():
+        raise UsageError(refusal)
+    return pp.value
 
 
 def cmd_bell(ns: argparse.Namespace) -> int:
@@ -211,15 +217,14 @@ def cmd_shift_poly(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    pp = _prime_power(ns.p, ns.m)
+    pp = _checked(PrimePower, ns.p, ns.m)
+    what = f"verify {pp.p} {pp.m}"
+    # touchard_check checks the range too, but only after the table is built
     if ns.n_lo < 1 or ns.n_lo > ns.n_hi:
         raise UsageError(f"need 1 <= n_lo <= n_hi, got [{ns.n_lo}, {ns.n_hi}]")
-    # p^m >= 2^m: an exponent past the depth's bit length is refused before
-    # p^m is formed, since a huge power is slow to build and to print
-    if pp.m > _depth(ns).bit_length():
-        raise UsageError(f"verify {pp.p} {pp.m}: {pp.p}^{pp.m} is above the configured depth")
-    _need_depth(ns, ns.n_hi + pp.value, f"verify {pp.p} {pp.m}")
-    bell = build_bell_binomial(ns.n_hi + pp.value)
+    q = _power(pp, _depth(ns), f"{what}: {pp.p}^{pp.m} is above the configured depth")
+    _need_depth(ns, ns.n_hi + q, what)
+    bell = build_bell_binomial(ns.n_hi + q)
     report = touchard_check(pp, ns.n_lo, ns.n_hi, bell)
     predicted = bell_prime_power_residue(pp)
     actual = reduce_shift_poly(pp, bell)
@@ -241,18 +246,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_orbits(ns: argparse.Namespace) -> int:
-    cap = _limit(ns.cap, CAP_ENV, DEFAULT_ENUMERATION_CAP, 1, "enumeration cap")
-    pp = _prime_power(ns.p, ns.m)
-    if pp.m > cap.bit_length() or pp.value > cap:  # p^m >= 2^m, as in cmd_verify
-        raise UsageError(f"n={pp.p}^{pp.m} exceeds the enumeration cap of {cap}")
-    if pp.value > MAX_GROUND_SET:
-        raise UsageError(
-            f"n={pp.p}^{pp.m} exceeds {MAX_GROUND_SET}, the largest ground set "
-            "the enumerator takes"
-        )
+    cap = _limit(ns.cap, CAP_ENV, DEFAULT_ENUMERATION_CAP)
+    pp = _checked(PrimePower, ns.p, ns.m)
+    n = _power(pp, cap, f"n={pp.p}^{pp.m} exceeds the enumeration cap of {cap}")
     hist: dict[int, int] = {}  # orbit size -> orbit count
     fixed = []
-    for rep, size in orbit_decomposition(pp.value, cap):
+    for rep, size in _checked(orbit_decomposition, n, cap):
         hist[size] = hist.get(size, 0) + 1
         if size == 1:
             fixed.append(rep)
@@ -278,15 +277,13 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
 
 
 def cmd_bell_mod(ns: argparse.Namespace) -> int:
-    p = _prime_power(ns.p, 1).p
-    if ns.n_max < p - 1:
-        raise UsageError(f"N must be >= p-1 = {p - 1} to cover the seed window")
+    p = _checked(PrimePower, ns.p, 1).p
     if ns.cross_check:
         _need_depth(ns, ns.n_max, f"bell-mod {p} {ns.n_max} --cross-check")
     else:
         # the stream's seed triangle costs O(p^2), so the depth bounds p - 1
         _need_depth(ns, p - 1, f"bell-mod {p} seeds")
-    residues = bell_mod_p_stream(p, ns.n_max)
+    residues = _checked(bell_mod_p_stream, p, ns.n_max)
     if ns.cross_check:
         bell = build_bell_binomial(ns.n_max)
         # the exact table already holds N+1 values, so the residues may too

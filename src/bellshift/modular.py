@@ -46,6 +46,12 @@ _MAX_PRIME = 3_037_000_499
 _REFILL = 4096
 
 
+def _check_ints(**values: object) -> None:
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be of type int, not {type(value).__name__}")
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test for machine-word-sized n."""
     if n < 2:
@@ -64,12 +70,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimePower:
-    """A prime power p^m with p prime (verified) and m >= 1."""
+    """A prime power p^m, p prime (verified) and m >= 1, both ints, not bools."""
 
     p: int
     m: int
 
     def __post_init__(self) -> None:
+        _check_ints(p=self.p, m=self.m)
         if self.p > _MAX_PRIME:
             raise ValueError(f"p={self.p} too large: p*p must fit a machine word")
         if not is_prime(self.p):
@@ -118,6 +125,11 @@ class CongruenceReport:
         return not self.counterexamples
 
 
+def _check_deep(bell: tuple[int, ...], index: int) -> None:
+    if len(bell) <= index:
+        raise ValueError(f"Bell table too shallow: need index {index}, have {len(bell) - 1}")
+
+
 def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     """Collapse P_{p^m} mod p to its two surviving terms and return the
     constant, the residue of B_{p^m}; the k-coefficient is 1.
@@ -128,10 +140,7 @@ def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     the top term k^{p^m} reduces to k by Fermat.  What survives is the
     constant B_{p^m} mod p plus k.
     """
-    if len(bell) <= pp.value:
-        raise ValueError(
-            f"Bell table too shallow: need index {pp.value}, have {len(bell) - 1}"
-        )
+    _check_deep(bell, pp.value)
     return bell[pp.value] % pp.p
 
 
@@ -165,10 +174,7 @@ def touchard_check(
         raise ValueError("n_lo must be >= 1")
     if n_lo > n_hi:
         raise ValueError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
-    if len(bell) <= n_hi + pp.value:
-        raise ValueError(
-            f"Bell table too shallow: need index {n_hi + pp.value}, have {len(bell) - 1}"
-        )
+    _check_deep(bell, n_hi + pp.value)
     p, m, q = pp.p, pp.m, pp.value
     bad = []
     for n in range(n_lo, n_hi + 1):
@@ -189,11 +195,16 @@ def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:
     function is called, before any residue is asked for.  The stream is
     lazy: it holds the last p residues plus one block of ``_REFILL`` new
     ones, so its memory is O(p), not O(n_max).
+
+    Nothing here bounds the seed triangle, which runs on the first
+    ``next()``: near the top of the word-sized primes its O(p^2) steps
+    take hours, so a caller taking p from outside should bound p - 1
+    first, as ``bell-mod`` does with ``--depth``.
     """
-    if p > _MAX_PRIME or not is_prime(p):
-        raise ValueError(f"p={p} is not a machine-word-sized prime")
+    PrimePower(p, 1)
+    _check_ints(n_max=n_max)
     if n_max < p - 1:
-        raise ValueError(f"n_max must be >= p-1 = {p - 1}")
+        raise ValueError(f"n_max must be >= p-1 = {p - 1} to cover the seed window")
     return _residues(p, n_max)
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .modular import PrimePower
+from .modular import PrimePower, _check_ints
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -131,9 +131,7 @@ class SetPartition:
 
 
 def _check_cap(n: int, cap: int) -> None:
-    for name, value in (("n", n), ("cap", cap)):
-        if type(value) is not int:
-            raise TypeError(f"{name} must be of type int, not {type(value).__name__}")
+    _check_ints(n=n, cap=cap)
     if cap < 1:
         raise ValueError("enumeration cap must be >= 1")
     if n < 1:
@@ -328,15 +326,15 @@ def fixed_partitions(
 ) -> tuple[SetPartition, ...]:
     """All partitions of Z/p^m Z fixed by every translation.
 
-    These are the representatives of the orbits of size 1 that the walk
-    behind ``orbit_decomposition`` meets (it keeps 5,116 prefixes at
+    These are the representatives of size 1 that ``orbit_decomposition``
+    yields, after its check of ``cap`` (its walk keeps 5,116 prefixes at
     p^m = 9, against B_9 = 21,147 strings): a partition fixed by the
     generator shift y = 1 is fixed by the whole cyclic group.  Exactly
     m+1 partitions qualify, one per block size p^j, and only they are
     wrapped as ``SetPartition``.
     """
-    _check_cap(pp.value, cap)
-    return tuple(SetPartition(rgs) for rgs, size in _orbit_reps(pp.value) if size == 1)
+    orbits = orbit_decomposition(pp.value, cap)
+    return tuple(SetPartition(rgs) for rgs, size in orbits if size == 1)
 
 
 def congruence_class_partition(pp: PrimePower, j: int) -> SetPartition:

@@ -111,6 +111,29 @@ def test_cli_writes_stdout_only_through_emit():
     assert len(writers) == sum(map(writes, ast.walk(tree)))  # none outside a function
 
 
+def test_only_checked_calls_turn_value_error_into_usage_error():
+    # a ValueError from real work is a library fault and must exit 3, so
+    # only the wrapper of argument checks and the env parser may catch it
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def catches(node):
+        return (
+            isinstance(node, ast.ExceptHandler)
+            and node.type is not None
+            and "ValueError" in ast.unparse(node.type)
+        )
+
+    catchers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if catches(node)
+    ]
+    assert sorted(catchers) == ["_checked", "_limit"]
+    assert len(catchers) == sum(map(catches, ast.walk(tree)))  # none outside a function
+
+
 def test_set_partition_is_never_built_past_its_check():
     # every SetPartition under src/ goes through __post_init__'s check
     def bypasses(node):
@@ -444,7 +467,32 @@ def test_ground_set_past_byte_labels_is_refused_before_enumeration():
     res = run_cli("orbits", "257", "1", "--cap", "300", timeout=30)
     assert res.returncode == 2
     assert res.stdout == ""
-    assert "257^1 exceeds 256" in res.stderr
+    assert "257 exceeds 256" in res.stderr
+
+
+# each refusal with its whole stderr line; none writes to stdout
+REFUSALS = [
+    ("orbits 2 4", "n=16 exceeds the enumeration cap of 12"),
+    ("orbits 11 1 --cap 8", "n=11 exceeds the enumeration cap of 8"),
+    ("orbits 257 1 --cap 300", "n=257 exceeds 256, the largest ground set the enumerator takes"),
+    ("orbits 2 10000000", "n=2^10000000 exceeds the enumeration cap of 12"),
+    ("bell-mod 7 5", "n_max must be >= p-1 = 6 to cover the seed window"),
+    ("bell-mod 4 10", "p=4 is not prime"),
+    (
+        "bell-mod 211 100",
+        "bell-mod 211 seeds needs table index 210, above the configured depth 200; "
+        "raise --depth (or BELLSHIFT_DEPTH)",
+    ),
+    ("verify 2 1 --n-lo 7 --n-hi 3", "need 1 <= n_lo <= n_hi, got [7, 3]"),
+    ("verify 2 10000000", "verify 2 10000000: 2^10000000 is above the configured depth"),
+    ("bell -1", "bell -1 needs table index -1, which must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("args, line", REFUSALS, ids=[args for args, _ in REFUSALS])
+def test_refusal_is_one_stderr_line(args, line):
+    res = run_cli(*args.split(), timeout=30)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {line}\n")
 
 
 def test_huge_depth_is_only_a_bound():

@@ -55,6 +55,15 @@ def test_prime_power_validation():
     assert PrimePower(13, 2).value == 169
 
 
+@pytest.mark.parametrize(
+    "p, m, name", [(2, 1.5, "m"), (2, True, "m"), (7.0, 1, "p"), (True, 1, "p"), ("7", 1, "p")]
+)
+def test_prime_power_takes_only_ints(p, m, name):
+    # a float m would make value a float, and a bool passes every range check
+    with pytest.raises(TypeError, match=f"{name} must be of type int"):
+        PrimePower(p, m)
+
+
 def test_prime_powers_up_to_thirty():
     got = prime_powers_up_to(30)
     assert [pp.value for pp in got] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
@@ -181,10 +190,17 @@ def test_stream_seeds_itself_for_every_prime_below_300(p, bell300):
 
 
 def test_stream_validation():
-    with pytest.raises(ValueError, match="not a machine-word-sized prime"):
+    with pytest.raises(ValueError, match="not prime"):
         bell_mod_p_stream(4, 10)
     with pytest.raises(ValueError, match="n_max"):
         bell_mod_p_stream(5, 3)
+
+
+@pytest.mark.parametrize("p, n_max, name", [(7.0, 20, "p"), (7, 20.0, "n_max"), (7, True, "n_max")])
+def test_stream_refuses_non_int_arguments_when_called(p, n_max, name):
+    # refused by the call itself, not on the first next()
+    with pytest.raises(TypeError, match=f"{name} must be of type int"):
+        bell_mod_p_stream(p, n_max)
 
 
 # every prime the stream tests below reduce by

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import bellshift
 from bellshift import exact, modular, partitions, shiftpoly
 
@@ -19,3 +22,51 @@ def test_every_exported_name_resolves_to_its_layer():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(bellshift, name) is getattr(layer, name)
+
+
+def test_package_order_is_each_layers_names_sorted():
+    assert bellshift.__all__ == [
+        "build_bell_binomial",
+        "build_binomials",
+        "build_stirling",
+        "stirling_rows",
+        "bell_shift",
+        "eval_poly",
+        "shift_poly_closed",
+        "shift_poly_recursive",
+        "CongruenceReport",
+        "PrimePower",
+        "bell_mod_p_stream",
+        "bell_prime_power_residue",
+        "binomial_vanishing_check",
+        "is_prime",
+        "prime_powers_up_to",
+        "reduce_shift_poly",
+        "touchard_check",
+        "DEFAULT_ENUMERATION_CAP",
+        "SetPartition",
+        "apply_shift",
+        "congruence_class_partition",
+        "count_by_blocks",
+        "enumerate_partitions",
+        "fixed_partitions",
+        "orbit_decomposition",
+    ]
+
+
+def test_package_names_no_public_name_itself():
+    # the surface is read from the layers, so a name is listed only there
+    tree = ast.parse(Path(bellshift.__file__).read_text())
+    named = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in bellshift.__all__
+    ]
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert named == []
+    assert set(imported) <= {"*", "exact", "modular", "partitions", "shiftpoly"}
