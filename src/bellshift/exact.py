@@ -63,10 +63,14 @@ def build_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
 def stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
     """Yield the Stirling rows ({n brace 0}, ..., {n brace n}) for
     n = 0..n_max via {n+1 brace k} = {n brace k-1} + k * {n brace k},
-    holding only the current row.  Raises ValueError on first iteration
-    if ``n_max`` is negative."""
+    holding only the current row.  Raises ValueError when called if
+    ``n_max`` is negative."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    return _stirling_rows(n_max)
+
+
+def _stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
     row: tuple[int, ...] = (1,)
     yield row
     for n in range(n_max):

@@ -31,7 +31,6 @@ __all__ = [
     "PrimePower",
     "CongruenceReport",
     "is_prime",
-    "prime_powers_up_to",
     "reduce_shift_poly",
     "binomial_vanishing_check",
     "bell_prime_power_residue",
@@ -87,21 +86,6 @@ class PrimePower:
     @property
     def value(self) -> int:
         return self.p**self.m
-
-
-def prime_powers_up_to(bound: int) -> list[PrimePower]:
-    """All prime powers p^m <= bound, sorted by value then by p."""
-    out = []
-    p = 2
-    while p <= bound:
-        if is_prime(p):
-            m = 1
-            while p**m <= bound:
-                out.append(PrimePower(p, m))
-                m += 1
-        p += 1
-    out.sort(key=lambda pp: (pp.value, pp.p))
-    return out
 
 
 @dataclass(frozen=True)
@@ -170,6 +154,7 @@ def touchard_check(
     pp: PrimePower, n_lo: int, n_hi: int, bell: tuple[int, ...]
 ) -> CongruenceReport:
     """Sweep B_{n+p^m} = m*B_n + B_{n+1} (mod p) over n in [n_lo, n_hi]."""
+    _check_ints(n_lo=n_lo, n_hi=n_hi)
     if n_lo < 1:
         raise ValueError("n_lo must be >= 1")
     if n_lo > n_hi:

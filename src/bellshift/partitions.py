@@ -92,36 +92,13 @@ class SetPartition:
             if v == top:
                 top += 1
 
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> SetPartition:
-        """Build from explicit blocks, which must partition {0,...,n-1}."""
-        labels: dict[int, int] = {}
-        for b, block in enumerate(blocks):
-            block = tuple(block)
-            if not block:
-                raise ValueError(f"block {b} is empty")
-            for x in block:
-                if type(x) is not int:
-                    raise TypeError(f"block elements must be of type int: {block}")
-                if x in labels:
-                    raise ValueError(f"element {x} appears in two blocks")
-                labels[x] = b
-        n = len(labels)
-        if n == 0 or set(labels) != set(range(n)):
-            raise ValueError("blocks must cover {0,...,n-1} exactly")
-        return cls(_canonical(labels[i] for i in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.rgs)
 
-    @property
-    def block_count(self) -> int:
-        return max(self.rgs) + 1
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks in order of their smallest element."""
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
+        out: list[list[int]] = [[] for _ in range(max(self.rgs) + 1)]
         for i, v in enumerate(self.rgs):
             out[v].append(i)
         return tuple(tuple(b) for b in out)
@@ -343,6 +320,7 @@ def congruence_class_partition(pp: PrimePower, j: int) -> SetPartition:
     It has p^(m-j) blocks, each of size p^j; j = 0 gives singletons and
     j = m the one-block partition.
     """
+    _check_ints(j=j)
     if not 0 <= j <= pp.m:
         raise ValueError(f"j must lie in [0, {pp.m}]")
     q = pp.p ** (pp.m - j)

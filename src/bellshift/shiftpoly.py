@@ -26,6 +26,8 @@ Ascending order is the natural one for Horner evaluation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = [
     "shift_poly_closed",
     "shift_poly_recursive",
@@ -90,7 +92,10 @@ def eval_poly(poly: tuple[int, ...], x: int) -> int:
     return acc
 
 
-_values: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())  # last (P, (P(1), P(2), ...))
+@lru_cache(maxsize=1)
+def _values(poly: tuple[int, ...], k_max: int) -> tuple[int, ...]:
+    """P(1), ..., P(k_max) for the polynomial with coefficients ``poly``."""
+    return tuple(eval_poly(poly, k) for k in range(1, k_max + 1))
 
 
 def bell_shift(
@@ -101,13 +106,12 @@ def bell_shift(
     ``poly`` must be the shift polynomial for this ``j``; the Stirling
     triangle must reach row ``n``.
 
-    The values P_j(1), P_j(2), ... of the last polynomial are kept, so a
-    sweep over n at a fixed ``poly`` evaluates each once.  The memo holds
-    one polynomial, keyed by its coefficients' value (a list mutated
-    between calls is evaluated afresh), and is replaced by one assignment:
-    concurrent callers may repeat work but never read wrong values.
+    P_j is evaluated at 1, 2, ... up to the triangle's depth, once per
+    polynomial and depth, so a sweep over n at a fixed ``poly`` evaluates
+    each P_j(k) once.  The cache holds one polynomial, keyed by its
+    coefficients' value, so a list mutated between calls is evaluated
+    afresh.
     """
-    global _values
     if n < 1:
         raise ValueError("n must be >= 1")
     if j < 0:
@@ -116,9 +120,5 @@ def bell_shift(
         raise ValueError(f"polynomial is for shift {len(poly) - 1}, not {j}")
     if len(tri) <= n:
         raise ValueError(f"Stirling triangle too shallow: need row {n}, have {len(tri) - 1}")
-    key, values = _values
-    if key != tuple(poly):
-        key, values = tuple(poly), ()
-    values += tuple(eval_poly(key, k) for k in range(len(values) + 1, n + 1))
-    _values = key, values
+    values = _values(tuple(poly), len(tri) - 1)
     return sum(v * s for v, s in zip(values, tri[n][1 : n + 1]))

@@ -26,7 +26,6 @@ from bellshift import (
     eval_poly,
     fixed_partitions,
     orbit_decomposition,
-    prime_powers_up_to,
     reduce_shift_poly,
     shift_poly_closed,
     shift_poly_recursive,
@@ -35,7 +34,7 @@ from bellshift import (
     SetPartition,
 )
 
-from conftest import BELL_SMALL
+from conftest import BELL_SMALL, prime_powers
 
 
 def run_criterion(capsys, num: int, slug: str, budget_s: float, body) -> None:
@@ -107,7 +106,7 @@ def test_criterion_4_prime_power_residue_closed_form(capsys):
     def body():
         bell = build_bell_binomial(250)
         checked = 0
-        for pp in prime_powers_up_to(250):
+        for pp in prime_powers(250):
             predicted = bell_prime_power_residue(pp)
             assert bell[pp.value] % pp.p == predicted
             assert reduce_shift_poly(pp, bell) == predicted

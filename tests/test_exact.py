@@ -91,6 +91,12 @@ def test_stirling_rows_stream_the_triangle(n_max):
     assert tuple(map(sum, rows)) == build_bell_binomial(n_max)
 
 
+def test_stirling_rows_checks_n_max_when_called():
+    # not at the first next(), which a zero-length zip never asks for
+    with pytest.raises(ValueError, match="n_max"):
+        stirling_rows(-1)
+
+
 def test_stirling_value_accessor():
     assert len(build_stirling(6)) == 7
     with pytest.raises(ValueError):

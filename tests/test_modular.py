@@ -14,11 +14,12 @@ from bellshift import (
     build_bell_binomial,
     eval_poly,
     is_prime,
-    prime_powers_up_to,
     reduce_shift_poly,
     shift_poly_closed,
     touchard_check,
 )
+
+from conftest import prime_powers
 
 
 def sieve(limit: int) -> set[int]:
@@ -65,11 +66,11 @@ def test_prime_power_takes_only_ints(p, m, name):
 
 
 def test_prime_powers_up_to_thirty():
-    got = prime_powers_up_to(30)
+    got = prime_powers(30)
     assert [pp.value for pp in got] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
     assert PrimePower(2, 4) in got
     assert PrimePower(3, 3) in got
-    assert prime_powers_up_to(1) == []
+    assert prime_powers(1) == []
 
 
 # ------------------------------------------------------- two-term reduction
@@ -97,14 +98,14 @@ def test_residue_examples():
 
 
 def test_reduction_constant_matches_predicted_residue(bell300):
-    for pp in prime_powers_up_to(250):
+    for pp in prime_powers(250):
         assert reduce_shift_poly(pp, bell300) == bell_prime_power_residue(pp)
 
 
 def test_two_term_form_agrees_with_full_polynomial(bell300, binom300):
     # P_{p^m}(k) mod p should equal constant + k for every k, not just
     # match coefficientwise after reduction.
-    for pp in prime_powers_up_to(60):
+    for pp in prime_powers(60):
         poly = shift_poly_closed(pp.value, bell300, binom300)
         constant = reduce_shift_poly(pp, bell300)
         for k in range(0, 26):
@@ -122,7 +123,7 @@ def test_binomial_vanishing_examples():
 
 
 def test_binomial_vanishing_all_prime_powers_in_range(binom300):
-    for pp in prime_powers_up_to(250):
+    for pp in prime_powers(250):
         assert binomial_vanishing_check(pp)
         # the additive Pascal table says the same
         assert all(c % pp.p == 0 for c in binom300[pp.value][1:-1])
@@ -160,6 +161,15 @@ def test_touchard_validation(bell300):
     for shallow in (build_bell_binomial(20), bell300[:109]):
         with pytest.raises(ValueError, match="too shallow"):
             touchard_check(PrimePower(3, 2), 1, 100, shallow)
+
+
+@pytest.mark.parametrize(
+    "n_lo, n_hi, name", [(True, 3, "n_lo"), (1.0, 3, "n_lo"), (1, 3.0, "n_hi"), (1, True, "n_hi")]
+)
+def test_touchard_check_takes_only_int_bounds(bell300, n_lo, n_hi, name):
+    # a bool passes every range check and would land in the report
+    with pytest.raises(TypeError, match=f"{name} must be of type int"):
+        touchard_check(PrimePower(2, 1), n_lo, n_hi, bell300)
 
 
 def test_report_ok_flips_on_counterexamples():

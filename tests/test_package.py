@@ -40,7 +40,6 @@ def test_package_order_is_each_layers_names_sorted():
         "bell_prime_power_residue",
         "binomial_vanishing_check",
         "is_prime",
-        "prime_powers_up_to",
         "reduce_shift_poly",
         "touchard_check",
         "DEFAULT_ENUMERATION_CAP",
@@ -70,3 +69,19 @@ def test_package_names_no_public_name_itself():
     ]
     assert named == []
     assert set(imported) <= {"*", "exact", "modular", "partitions", "shiftpoly"}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # apply_shift stays as the tests' oracle for the translation action
+    root = Path(__file__).resolve().parent.parent
+    files = [*(root / "src" / "bellshift").glob("*.py")]
+    files += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    loaded = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unused = set(bellshift.__all__) - loaded - {"apply_shift"}
+    assert unused == set()

@@ -263,33 +263,20 @@ def test_set_partition_accepts_exactly_the_nonempty_canonical_strings(t):
         assert part.n == len(t)
 
 
-def test_blocks_and_from_blocks():
-    part = SetPartition.from_blocks([(1, 3), (0, 2)])
-    assert part.rgs == (0, 1, 0, 1)
+def test_blocks_and_str():
+    part = SetPartition((0, 1, 0, 1))
     assert part.blocks() == ((0, 2), (1, 3))
-    assert part.block_count == 2
     assert str(part) == "{0,2}|{1,3}"
 
 
-def test_from_blocks_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([(0, 2)])
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([])
-    with pytest.raises(ValueError, match="empty"):
-        SetPartition.from_blocks([(0, 1), (), (2,)])
-    # elements that merely equal ints are refused, as in the constructor
-    with pytest.raises(TypeError, match="must be of type int"):
-        SetPartition.from_blocks([(0, 1.0), (2.0,)])
-    with pytest.raises(TypeError, match="must be of type int"):
-        SetPartition.from_blocks([(False,), (True,)])
-
-
 @given(set_partitions())
-def test_from_blocks_roundtrip(part):
-    assert SetPartition.from_blocks(part.blocks()) == part
+def test_blocks_roundtrip(part):
+    # block b, in order of smallest element, is the label its elements carry
+    rgs = [0] * part.n
+    for b, block in enumerate(part.blocks()):
+        for x in block:
+            rgs[x] = b
+    assert SetPartition(tuple(rgs)) == part
 
 
 # ------------------------------------------------------- translation action
@@ -302,11 +289,11 @@ def test_zero_shift_is_identity():
 
 
 def test_shift_examples():
-    fixed = SetPartition.from_blocks([(0, 2), (1, 3)])
+    fixed = SetPartition((0, 1, 0, 1))  # {0,2}|{1,3}
     assert apply_shift(fixed, 1) == fixed
-    part = SetPartition.from_blocks([(0, 1), (2,)])
+    part = SetPartition((0, 0, 1))  # {0,1}|{2}
     moved = apply_shift(part, 1)
-    assert moved == SetPartition.from_blocks([(1, 2), (0,)])
+    assert moved == SetPartition((0, 1, 1))  # {0}|{1,2}
 
 
 def test_shift_preserves_block_sizes():
@@ -449,10 +436,10 @@ def test_congruence_class_partition_shapes():
     pp = PrimePower(2, 2)
     assert congruence_class_partition(pp, 0).rgs == (0, 1, 2, 3)
     assert congruence_class_partition(pp, 2).rgs == (0, 0, 0, 0)
-    assert congruence_class_partition(pp, 1) == SetPartition.from_blocks([(0, 2), (1, 3)])
+    assert congruence_class_partition(pp, 1) == SetPartition((0, 1, 0, 1))
 
     nine = congruence_class_partition(PrimePower(3, 2), 1)
-    assert nine.block_count == 3
+    assert len(nine.blocks()) == 3
     assert all(len(b) == 3 for b in nine.blocks())
     assert nine.blocks()[0] == (0, 3, 6)
 
@@ -460,6 +447,13 @@ def test_congruence_class_partition_shapes():
         congruence_class_partition(pp, 3)
     with pytest.raises(ValueError):
         congruence_class_partition(pp, -1)
+
+
+@pytest.mark.parametrize("j", [True, 1.0, "1", None])
+def test_congruence_class_partition_takes_only_int_j(j):
+    # a bool passes the range check, and a float would reach SetPartition
+    with pytest.raises(TypeError, match="j must be of type int"):
+        congruence_class_partition(PrimePower(2, 2), j)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2)])

@@ -254,6 +254,15 @@ def test_memo_sees_a_list_mutated_in_place(stirling50):
     assert bell_shift(5, 3, stirling50, coeffs) == _memo_free_bell_shift(5, coeffs, stirling50)
 
 
+def test_memo_is_keyed_on_the_triangles_depth(stirling50):
+    # a cache keyed on the coefficients alone would keep P(1..5) from the
+    # shallow triangle and cut the deep sum short
+    poly = shift_poly_recursive(6)
+    shallow = build_stirling(5)
+    assert bell_shift(5, 6, shallow, poly) == _memo_free_bell_shift(5, poly, shallow)
+    assert bell_shift(40, 6, stirling50, poly) == _memo_free_bell_shift(40, poly, stirling50)
+
+
 def test_memo_under_threads_sweeping_different_polynomials(stirling50):
     polys = [shift_poly_recursive(j) for j in range(8)]
     polys += [tuple(c + i for c in p) for i, p in enumerate(polys, 1)]
