@@ -33,11 +33,9 @@ Configuration precedence is flags over the environment variables
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 
 from .exact import build_bell_binomial, build_binomials, stirling_rows
 from .modular import (
@@ -71,20 +69,6 @@ class UsageError(Exception):
 _CHUNK_ROWS = 64
 
 
-def _json_value(v: object) -> object:
-    """``v`` as ``json.dumps`` writes it; an int is left for the line
-    template to render, which gives the same digits."""
-    if type(v) is int:
-        return v
-    if type(v) is str:
-        return encode_basestring_ascii(v)
-    return json.dumps(v)
-
-
-def _json_big(v: object) -> str:
-    return encode_basestring_ascii(str(v))
-
-
 def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozenset()) -> int:
     """Write ``rows`` to stdout and return how many were written.
 
@@ -95,15 +79,28 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozens
     integer becomes a decimal string.  Rows are formatted through one
     line template per format, ``_CHUNK_ROWS`` at a time, and each chunk
     is a single write; ``rows`` may be any iterable and is consumed once.
+    ``json`` is imported here, so a TSV run never loads it.
     """
     if fmt == "tsv":
         sys.stdout.write("#" + "\t".join(fields) + "\n")
         line = "\t".join(["{}"] * len(fields)) + "\n"
         values = chain.from_iterable
     else:
-        keys = (encode_basestring_ascii(f) + ": {}" for f in fields)
+        from json import dumps
+        from json.encoder import encode_basestring_ascii as quote
+
+        def value(v):
+            # as json.dumps writes it; the line template renders an int
+            if type(v) is int:
+                return v
+            return quote(v) if type(v) is str else dumps(v)
+
+        def big_value(v):
+            return quote(str(v))
+
+        keys = (quote(f) + ": {}" for f in fields)
         line = "{{" + ", ".join(keys) + "}}\n"
-        convert = [_json_big if f in big else _json_value for f in fields]
+        convert = [big_value if f in big else value for f in fields]
 
         def values(chunk):
             return [c(v) for row in chunk for c, v in zip(convert, row)]

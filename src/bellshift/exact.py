@@ -49,8 +49,17 @@ __all__ = [
 ]
 
 
+def _check_ints(**values: object) -> None:
+    """The package's one integer rule: each value is an ``int``, not a
+    ``bool`` or a float, or ``TypeError`` names it."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be of type int, not {type(value).__name__}")
+
+
 def build_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
     """Pascal triangle through row ``n_max`` by the additive recurrence."""
+    _check_ints(n_max=n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rows = [(1,)]
@@ -63,8 +72,9 @@ def build_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
 def stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
     """Yield the Stirling rows ({n brace 0}, ..., {n brace n}) for
     n = 0..n_max via {n+1 brace k} = {n brace k-1} + k * {n brace k},
-    holding only the current row.  Raises ValueError when called if
-    ``n_max`` is negative."""
+    holding only the current row.  ``n_max`` is checked at the call, not
+    at the first ``next()``."""
+    _check_ints(n_max=n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _stirling_rows(n_max)
@@ -95,6 +105,7 @@ def build_bell_binomial(n_max: int) -> tuple[int, ...]:
     O(n_max^2) big-integer additions and no multiplications; only the
     current row is kept besides the table.
     """
+    _check_ints(n_max=n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     values = [1]

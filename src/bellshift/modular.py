@@ -18,14 +18,18 @@ Residue arithmetic is word-sized: exact big integers are reduced once at
 the boundary, and p is bounded so p*p fits a machine word.  Primality of
 p is checked by trial division at PrimePower construction, since a
 composite p would silently invalidate every congruence downstream.
+
+``PrimePower`` and ``CongruenceReport`` are frozen value classes, checked
+once in ``__init__``; equality, hashing and ``repr`` go by their fields.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+
+from .exact import _check_ints
 
 __all__ = [
     "PrimePower",
@@ -45,14 +49,45 @@ _MAX_PRIME = 3_037_000_499
 _REFILL = 4096
 
 
-def _check_ints(**values: object) -> None:
-    for name, value in values.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be of type int, not {type(value).__name__}")
+class _Frozen:
+    """Base of the frozen value classes: the fields are the ``__slots__``,
+    set here after the subclass's checks.  Equality, hashing, ``repr`` and
+    pickling go by the field tuple, as for a frozen dataclass, and a copy
+    is rebuilt through the checks."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
 
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test for machine-word-sized n."""
+    _check_ints(n=n)
     if n < 2:
         return False
     if n < 4:
@@ -67,38 +102,39 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(_Frozen):
     """A prime power p^m, p prime (verified) and m >= 1, both ints, not bools."""
 
-    p: int
-    m: int
+    __slots__ = ("p", "m")
 
-    def __post_init__(self) -> None:
-        _check_ints(p=self.p, m=self.m)
-        if self.p > _MAX_PRIME:
-            raise ValueError(f"p={self.p} too large: p*p must fit a machine word")
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.m < 1:
+    def __init__(self, p: int, m: int) -> None:
+        _check_ints(p=p, m=m)
+        if p > _MAX_PRIME:
+            raise ValueError(f"p={p} too large: p*p must fit a machine word")
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if m < 1:
             raise ValueError("exponent m must be >= 1")
+        super().__init__(p, m)
 
     @property
     def value(self) -> int:
         return self.p**self.m
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(_Frozen):
     """Outcome of sweeping a congruence over n in [n_lo, n_hi].
 
     Each counterexample is (n, lhs residue, rhs residue); the list is
     expected to stay empty.
     """
 
-    n_lo: int
-    n_hi: int
-    counterexamples: tuple[tuple[int, int, int], ...]
+    __slots__ = ("n_lo", "n_hi", "counterexamples")
+
+    def __init__(
+        self, n_lo: int, n_hi: int, counterexamples: tuple[tuple[int, int, int], ...]
+    ) -> None:
+        super().__init__(n_lo, n_hi, counterexamples)
 
     @property
     def checked(self) -> int:

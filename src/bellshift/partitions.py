@@ -10,8 +10,8 @@ A partition is stored canonically as a restricted growth string (RGS):
 of first appearance, so ``rgs[0] == 0`` and each entry exceeds the
 running maximum by at most one.  One partition, one string; equality and
 hashing come for free.  The streams below yield these strings as plain
-tuples; ``SetPartition`` is the checked, printable view of one, and n is
-the string's length.
+tuples; ``SetPartition`` is the checked, printable view of one, a frozen
+value class whose one field is the string, and n is its length.
 
 One walk over the prefixes of length n-1 serves both the stream and the
 tally by block count.  It keeps each prefix's block count beside it, as
@@ -39,9 +39,9 @@ no cap lifts.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
-from .modular import PrimePower, _check_ints
+from .exact import _check_ints
+from .modular import PrimePower, _Frozen
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -71,26 +71,26 @@ def _canonical(labels: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(_Frozen):
     """A partition of {0,...,n-1} in canonical RGS form; n is derived
     from the string, as ``len(rgs)``."""
 
-    rgs: tuple[int, ...]
+    __slots__ = ("rgs",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rgs, tuple):
-            raise TypeError(f"rgs must be a tuple, not {type(self.rgs).__name__}")
-        if not self.rgs:
+    def __init__(self, rgs: tuple[int, ...]) -> None:
+        if not isinstance(rgs, tuple):
+            raise TypeError(f"rgs must be a tuple, not {type(rgs).__name__}")
+        if not rgs:
             raise ValueError("ground set must be nonempty")
-        if not all(type(v) is int for v in self.rgs):
-            raise TypeError(f"rgs labels must be of type int: {self.rgs}")
+        if not all(type(v) is int for v in rgs):
+            raise TypeError(f"rgs labels must be of type int: {rgs}")
         top = 0
-        for i, v in enumerate(self.rgs):
+        for i, v in enumerate(rgs):
             if v < 0 or v > top:
-                raise ValueError(f"rgs is not canonical at position {i}: {self.rgs}")
+                raise ValueError(f"rgs is not canonical at position {i}: {rgs}")
             if v == top:
                 top += 1
+        super().__init__(rgs)
 
     @property
     def n(self) -> int:
@@ -201,6 +201,7 @@ def apply_shift(part: SetPartition, y: int) -> SetPartition:
     n = ``part.n``; any integer y is taken mod n.  Element x + y inherits
     the old label of x, so the string rotates right by y (by y = 0 it
     stays whole) and is then relabelled canonically."""
+    _check_ints(y=y)
     y %= part.n
     return SetPartition(_canonical(part.rgs[-y:] + part.rgs[:-y]))
 

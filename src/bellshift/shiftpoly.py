@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .exact import _check_ints
+
 __all__ = [
     "shift_poly_closed",
     "shift_poly_recursive",
@@ -40,6 +42,7 @@ def shift_poly_closed(
     j: int, bell: tuple[int, ...], binom: tuple[tuple[int, ...], ...]
 ) -> tuple[int, ...]:
     """P_j from the closed form: coefficient of x^r is B_{j-r} * C(j, r)."""
+    _check_ints(j=j)
     if j < 0:
         raise ValueError("shift j must be >= 0")
     if len(bell) <= j:
@@ -61,6 +64,7 @@ def shift_poly_recursive(j: int) -> tuple[int, ...]:
     a Bell number or a binomial coefficient, so the result is independent
     of the closed form.
     """
+    _check_ints(j=j)
     if j < 0:
         raise ValueError("shift j must be >= 0")
     c = [1]  # falling-factorial coefficients of P_0
@@ -86,6 +90,11 @@ def _falling_to_monomial(c: list[int]) -> tuple[int, ...]:
 def eval_poly(poly: tuple[int, ...], x: int) -> int:
     """Exact Horner evaluation at the integer ``x`` of the polynomial whose
     ascending coefficients are ``poly``."""
+    _check_ints(x=x)
+    return _horner(poly, x)
+
+
+def _horner(poly: tuple[int, ...], x: int) -> int:
     acc = 0
     for c in reversed(poly):
         acc = acc * x + c
@@ -95,7 +104,7 @@ def eval_poly(poly: tuple[int, ...], x: int) -> int:
 @lru_cache(maxsize=1)
 def _values(poly: tuple[int, ...], k_max: int) -> tuple[int, ...]:
     """P(1), ..., P(k_max) for the polynomial with coefficients ``poly``."""
-    return tuple(eval_poly(poly, k) for k in range(1, k_max + 1))
+    return tuple(_horner(poly, k) for k in range(1, k_max + 1))
 
 
 def bell_shift(
@@ -112,6 +121,7 @@ def bell_shift(
     coefficients' value, so a list mutated between calls is evaluated
     afresh.
     """
+    _check_ints(n=n, j=j)
     if n < 1:
         raise ValueError("n must be >= 1")
     if j < 0:

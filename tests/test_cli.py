@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellshift import CongruenceReport
 from bellshift import cli
@@ -135,7 +139,7 @@ def test_only_checked_calls_turn_value_error_into_usage_error():
 
 
 def test_set_partition_is_never_built_past_its_check():
-    # every SetPartition under src/ goes through __post_init__'s check
+    # every SetPartition under src/ goes through __init__'s check
     def bypasses(node):
         return isinstance(node, ast.Call) and ast.unparse(node) == "object.__new__(SetPartition)"
 
@@ -493,6 +497,71 @@ REFUSALS = [
 def test_refusal_is_one_stderr_line(args, line):
     res = run_cli(*args.split(), timeout=30)
     assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {line}\n")
+
+
+# each subcommand with its opt-in check, if it has one
+COMMAND_FLAGS = {
+    "bell": "--cross-check",
+    "stirling": None,
+    "shift-poly": "--check-recursive",
+    "verify": None,
+    "orbits": None,
+    "bell-mod": "--cross-check",
+}
+
+
+@st.composite
+def accepted_argvs(draw):
+    """An argv that argparse accepts, its limits bounded so that no run is
+    long: depth <= 300, cap <= 8 and N <= 2000.  Small primes and short
+    ranges are drawn often enough that every command also runs to exit 0."""
+
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    def limit(hi):  # the bound itself half the time
+        return draw(st.just(hi) | st.integers(-1, hi))
+
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    if command in ("bell", "stirling", "shift-poly"):
+        args = [ints(-3, 300)]
+    else:
+        p = draw(st.integers(-3, 300) | st.sampled_from([2, 3, 5, 7]))
+        args = [p, ints(-3, 2000) if command == "bell-mod" else ints(-1, 3)]
+    if command == "verify":  # n_hi may fall below n_lo
+        n_lo = ints(-3, 30)
+        n_hi = n_lo + draw(st.integers(-5, 30) | st.integers(-5, 1970))
+        args += ["--n-lo", n_lo, "--n-hi", n_hi]
+    args += ["--depth", limit(300), "--cap", limit(8)]
+    flag = COMMAND_FLAGS[command]
+    if flag and draw(st.booleans()):
+        args.append(flag)
+    args += ["--format", draw(st.sampled_from(["tsv", "json-lines"]))]
+    return [command, *map(str, args)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=accepted_argvs())
+def test_every_accepted_argv_exits_ok_or_usage(argv):
+    out, err = io.StringIO(), io.StringIO()
+    digits = sys.get_int_max_str_digits()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        return
+    assert err == ""
+    if argv[-1] == "tsv":
+        header, rows = parse_tsv(out)
+        assert all(len(row) == len(header) for row in rows)
+    else:
+        assert out and all(isinstance(obj, dict) for obj in parse_jsonl(out))
 
 
 def test_huge_depth_is_only_a_bound():
