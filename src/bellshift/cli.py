@@ -383,9 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
-    # emitted decimal strings routinely exceed the interpreter's default
-    # int-to-str guard once tables go past a few hundred rows
+    # big table values outgrow the int-to-str digit guard: lift it for this call
     if hasattr(sys, "set_int_max_str_digits"):
+        digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         code = ns.func(ns)
@@ -402,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         sys.excepthook(type(exc), exc, exc.__traceback__)
         return EXIT_INTERNAL
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -57,6 +57,12 @@ def _check_ints(**values: object) -> None:
             raise TypeError(f"{name} must be of type int, not {type(value).__name__}")
 
 
+def _check_deep(table: tuple, index: int, what: str) -> None:
+    """The package's one depth rule: ``table`` reaches ``index``, or ValueError."""
+    if len(table) <= index:
+        raise ValueError(f"{what} too shallow: need index {index}, have {len(table) - 1}")
+
+
 def build_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
     """Pascal triangle through row ``n_max`` by the additive recurrence."""
     _check_ints(n_max=n_max)

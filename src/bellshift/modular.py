@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from itertools import accumulate
 from math import comb
 
-from .exact import _check_ints
+from .exact import _check_deep, _check_ints
 
 __all__ = [
     "PrimePower",
@@ -145,11 +145,6 @@ class CongruenceReport(_Frozen):
         return not self.counterexamples
 
 
-def _check_deep(bell: tuple[int, ...], index: int) -> None:
-    if len(bell) <= index:
-        raise ValueError(f"Bell table too shallow: need index {index}, have {len(bell) - 1}")
-
-
 def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     """Collapse P_{p^m} mod p to its two surviving terms and return the
     constant, the residue of B_{p^m}; the k-coefficient is 1.
@@ -160,7 +155,7 @@ def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     the top term k^{p^m} reduces to k by Fermat.  What survives is the
     constant B_{p^m} mod p plus k.
     """
-    _check_deep(bell, pp.value)
+    _check_deep(bell, pp.value, "Bell table")
     return bell[pp.value] % pp.p
 
 
@@ -195,7 +190,7 @@ def touchard_check(
         raise ValueError("n_lo must be >= 1")
     if n_lo > n_hi:
         raise ValueError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
-    _check_deep(bell, n_hi + pp.value)
+    _check_deep(bell, n_hi + pp.value, "Bell table")
     p, m, q = pp.p, pp.m, pp.value
     bad = []
     for n in range(n_lo, n_hi + 1):

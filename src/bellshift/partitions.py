@@ -32,8 +32,7 @@ so it meets each orbit once, at its least member, yields it as a
 
 Enumeration refuses ground sets above a configurable cap (default 12,
 about 4.2 million partitions) so that full orbit decompositions stay at
-desk scale, and above ``MAX_GROUND_SET`` = 256, a fixed ceiling that
-no cap lifts.
+desk scale, and above the fixed ceiling ``MAX_GROUND_SET`` = 256.
 """
 
 from __future__ import annotations
@@ -55,7 +54,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
-MAX_GROUND_SET = 256  # a fixed ceiling on n; no cap lifts it
+# no cap lifts it: _prefix_walk and _orbit_reps allocate lists of length n
+# before they yield, so under a raised cap a huge n would allocate, not refuse
+MAX_GROUND_SET = 256
 
 
 def _canonical(labels: Iterable[int]) -> tuple[int, ...]:

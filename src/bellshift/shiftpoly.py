@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import _check_ints
+from .exact import _check_deep, _check_ints
 
 __all__ = [
     "shift_poly_closed",
@@ -45,10 +45,8 @@ def shift_poly_closed(
     _check_ints(j=j)
     if j < 0:
         raise ValueError("shift j must be >= 0")
-    if len(bell) <= j:
-        raise ValueError(f"Bell table too shallow: need index {j}, have {len(bell) - 1}")
-    if len(binom) <= j:
-        raise ValueError(f"Pascal table too shallow: need row {j}, have {len(binom) - 1}")
+    _check_deep(bell, j, "Bell table")
+    _check_deep(binom, j, "Pascal table")
     row = binom[j]
     return tuple(bell[j - r] * row[r] for r in range(j + 1))
 
@@ -128,7 +126,6 @@ def bell_shift(
         raise ValueError("shift j must be >= 0")
     if len(poly) != j + 1:
         raise ValueError(f"polynomial is for shift {len(poly) - 1}, not {j}")
-    if len(tri) <= n:
-        raise ValueError(f"Stirling triangle too shallow: need row {n}, have {len(tri) - 1}")
+    _check_deep(tri, n, "Stirling triangle")
     values = _values(tuple(poly), len(tri) - 1)
     return sum(v * s for v, s in zip(values, tri[n][1 : n + 1]))

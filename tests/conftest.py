@@ -7,13 +7,19 @@ import pytest
 
 from bellshift import PrimePower, build_bell_binomial, build_binomials, build_stirling, is_prime
 
-# pytest's ``pythonpath`` setting reaches only this process; the
-# ``python -m bellshift`` children of the CLI tests need the package too
-SRC = Path(__file__).resolve().parent.parent / "src"
-os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-
 # B_0..B_12, frozen from exhaustive set-partition enumeration
 BELL_SMALL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a test whose subject is a real child process:
+    this one's, less every ``BELLSHIFT_*`` variable, with ``src/`` on
+    ``PYTHONPATH``, since pytest's ``pythonpath`` setting reaches only
+    this process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def prime_powers(bound: int) -> list[PrimePower]:

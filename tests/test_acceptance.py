@@ -8,7 +8,6 @@ bypass output capture so they are visible in any mode.
 from __future__ import annotations
 
 import hashlib
-import os
 import subprocess
 import sys
 import time
@@ -34,7 +33,7 @@ from bellshift import (
     SetPartition,
 )
 
-from conftest import BELL_SMALL, prime_powers
+from conftest import BELL_SMALL, child_env, prime_powers
 
 
 def run_criterion(capsys, num: int, slug: str, budget_s: float, body) -> None:
@@ -163,7 +162,7 @@ def test_criterion_7_modular_stream(capsys):
 
 def test_criterion_8_cli_determinism(capsys):
     def body():
-        env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
+        env = child_env()
         commands = [
             ["bell", "30", "--cross-check"],
             ["stirling", "12"],

@@ -18,23 +18,34 @@ from hypothesis import strategies as st
 from bellshift import CongruenceReport
 from bellshift import cli
 
-from conftest import BELL_SMALL
+from conftest import BELL_SMALL, child_env
 from test_partitions import seen_set_orbit_decomposition
 
 
-def run_cli(
-    *args: str, env_extra: dict[str, str] | None = None, timeout: float | None = None
-) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "bellshift", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+# the int-to-str digit limit this process started with: cli.main lifts
+# it for the length of one call only
+DIGITS = sys.get_int_max_str_digits()
+
+
+def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """``bellshift *args`` run in this process: ``cli.main`` with no
+    ``BELLSHIFT_*`` variable but those of ``env_extra``, its stdout and
+    stderr captured as text, and argparse's ``SystemExit`` code taken as
+    the exit code.  The environment is put back afterwards, and on every
+    exit ``cli.main`` must have given back the digit limit."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in [k for k in os.environ if k.startswith("BELLSHIFT_")]:
+            mp.delenv(name)
+        for name, value in (env_extra or {}).items():
+            mp.setenv(name, value)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    assert sys.get_int_max_str_digits() == DIGITS
+    return subprocess.CompletedProcess(["bellshift", *args], code, out.getvalue(), err.getvalue())
 
 
 def parse_tsv(out: str) -> tuple[list[str], list[list[str]]]:
@@ -309,30 +320,29 @@ def test_orbits_prime_square():
 
 
 @pytest.mark.parametrize("p,m", [(11, 1), (2, 3), (3, 2), (7, 1)])
-def test_orbits_stdout_matches_seen_set_oracle(monkeypatch, capsysbinary, p, m):
+def test_orbits_stdout_matches_seen_set_oracle(monkeypatch, p, m):
     args = ["orbits", str(p), str(m)]
-    assert cli.main(args) == 0
-    walked = capsysbinary.readouterr().out
-    assert walked.startswith(b"#record\tvalue\n") and b"\nfixed_0\t" in walked
+    walked = run_cli(*args)
+    assert walked.returncode == 0
+    assert walked.stdout.startswith("#record\tvalue\n") and "\nfixed_0\t" in walked.stdout
     monkeypatch.setattr(cli, "orbit_decomposition", seen_set_orbit_decomposition)
-    assert cli.main(args) == 0
-    assert capsysbinary.readouterr().out == walked
+    oracle = run_cli(*args)
+    assert oracle.returncode == 0
+    assert oracle.stdout == walked.stdout
 
 
-def test_orbits_memory_does_not_grow_with_the_orbit_count(monkeypatch, capsysbinary):
+def test_orbits_memory_does_not_grow_with_the_orbit_count():
     # orbits 11 1 meets 61,690 orbits; it needs only their size histogram
     # and the two fixed partitions, so its traced peak stays far below the
     # ~19 MB that holding one object per orbit takes
-    for name in [k for k in os.environ if k.startswith("BELLSHIFT_")]:
-        monkeypatch.delenv(name)
     tracemalloc.start()
     try:
-        assert cli.main(["orbits", "11", "1"]) == 0
+        res = run_cli("orbits", "11", "1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out = capsysbinary.readouterr().out
-    assert hashlib.sha256(out).hexdigest() == (
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
         "e3764019901a64906212e367050aa8d1e774ef0b5a068fea6dae45f69fd0b1d4"
     )
     assert peak < 2 * 2**20
@@ -374,15 +384,16 @@ def test_bell_mod_cross_check_past_depth_is_usage_error():
     assert "depth" in res.stderr
 
 
-def test_bell_mod_builds_an_exact_table_only_to_cross_check(monkeypatch, capsys):
+def test_bell_mod_builds_an_exact_table_only_to_cross_check(monkeypatch):
     real = cli.build_bell_binomial
 
     def no_table(n_max):
         raise AssertionError("bell-mod built an exact table")
 
     monkeypatch.setattr(cli, "build_bell_binomial", no_table)
-    assert cli.main(["bell-mod", "13", "1000"]) == 0
-    rows = capsys.readouterr().out.splitlines()
+    res = run_cli("bell-mod", "13", "1000")
+    assert res.returncode == 0
+    rows = res.stdout.splitlines()
     assert len(rows) == 1002 and rows[-1] == f"1000\t{real(1000)[-1] % 13}"
 
     calls = []
@@ -392,20 +403,19 @@ def test_bell_mod_builds_an_exact_table_only_to_cross_check(monkeypatch, capsys)
         return real(n_max)
 
     monkeypatch.setattr(cli, "build_bell_binomial", recording)
-    assert cli.main(["bell-mod", "5", "200", "--cross-check"]) == 0
+    assert run_cli("bell-mod", "5", "200", "--cross-check").returncode == 0
     assert calls == [200]
 
 
-def test_bell_mod_seed_window_past_depth_is_refused_before_any_work(monkeypatch, capsys):
+def test_bell_mod_seed_window_past_depth_is_refused_before_any_work(monkeypatch):
     def no_stream(p, n_max):
         raise AssertionError("bell-mod started the stream")
 
-    monkeypatch.delenv(cli.DEPTH_ENV, raising=False)
     monkeypatch.setattr(cli, "bell_mod_p_stream", no_stream)
-    assert cli.main(["bell-mod", "211", "300"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bell-mod 211 seeds needs table index 210" in captured.err
+    res = run_cli("bell-mod", "211", "300")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "bell-mod 211 seeds needs table index 210" in res.stderr
 
 
 def test_bell_mod_composite_p_is_usage_error():
@@ -467,8 +477,25 @@ def test_huge_prime_power_is_refused_before_it_is_formed(args):
     assert "2^10000000" in res.stderr and len(res.stderr) < 200
 
 
-def test_ground_set_past_byte_labels_is_refused_before_enumeration():
-    res = run_cli("orbits", "257", "1", "--cap", "300", timeout=30)
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every way into real work raises, so a refusal that starts work
+    exits 3 at once instead of running."""
+
+    def work(*args):
+        raise AssertionError("a refusal started work")
+
+    for target in (
+        "bellshift.partitions._orbit_reps",
+        "bellshift.modular._residues",
+        "bellshift.cli.build_bell_binomial",
+        "bellshift.cli.stirling_rows",
+    ):
+        monkeypatch.setattr(target, work)
+
+
+def test_ground_set_past_the_fixed_ceiling_is_refused_before_enumeration(no_work):
+    res = run_cli("orbits", "257", "1", "--cap", "300")
     assert res.returncode == 2
     assert res.stdout == ""
     assert "257 exceeds 256" in res.stderr
@@ -494,8 +521,8 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("args, line", REFUSALS, ids=[args for args, _ in REFUSALS])
-def test_refusal_is_one_stderr_line(args, line):
-    res = run_cli(*args.split(), timeout=30)
+def test_refusal_is_one_stderr_line(no_work, args, line):
+    res = run_cli(*args.split())
     assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {line}\n")
 
 
@@ -543,14 +570,8 @@ def accepted_argvs(draw):
 @settings(max_examples=200, deadline=None)
 @given(argv=accepted_argvs())
 def test_every_accepted_argv_exits_ok_or_usage(argv):
-    out, err = io.StringIO(), io.StringIO()
-    digits = sys.get_int_max_str_digits()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        sys.set_int_max_str_digits(digits)
-    out, err = out.getvalue(), err.getvalue()
+    res = run_cli(*argv)
+    code, out, err = res.returncode, res.stdout, res.stderr
     assert code in (0, 2), (argv, err)
     if code == 2:
         assert out == ""
@@ -571,12 +592,11 @@ def test_huge_depth_is_only_a_bound():
 
 
 def test_closed_stdout_exits_141_quietly():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "bellshift", "bell-mod", "7", "200000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     assert proc.stdout.readline() == b"#n\tresidue\n"
     assert proc.stdout.readline() == b"0\t1\n"
@@ -587,12 +607,11 @@ def test_closed_stdout_exits_141_quietly():
 
 
 def test_closed_stdout_mid_wide_rows_exits_141_quietly():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "bellshift", "stirling", "300", "--depth", "300"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     assert proc.stdout.readline() == b"#n\tk\tvalue\n"
     proc.stdout.close()
@@ -641,57 +660,60 @@ RECORDED_DIGESTS = {
 
 
 @pytest.mark.parametrize("args,fmt", list(RECORDED_DIGESTS))
-def test_stdout_matches_recorded_digests(monkeypatch, capsysbinary, args, fmt):
-    for name in [k for k in os.environ if k.startswith("BELLSHIFT_")]:
-        monkeypatch.delenv(name)
-    assert cli.main([*args.split(), "--format", fmt]) == 0
-    out = capsysbinary.readouterr().out
-    assert hashlib.sha256(out).hexdigest() == RECORDED_DIGESTS[args, fmt]
+def test_stdout_matches_recorded_digests(args, fmt):
+    res = run_cli(*args.split(), "--format", fmt)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == RECORDED_DIGESTS[args, fmt]
 
 
 def test_deep_bell_prints_without_digit_guard_failure():
-    # B_250 has over 300 digits; the interpreter's int-to-str guard must
-    # be lifted to match the configured depth.
-    res = run_cli("bell", "250", "--depth", "250")
-    assert res.returncode == 0
+    # B_2000 has 4,350 digits, past the interpreter's default int-to-str
+    # guard of 4,300, so this exits 3 unless main lifts the guard; main
+    # gives the caller's limit back when it returns (run_cli checks that)
+    res = run_cli("bell", "2000", "--depth", "2000")
+    assert res.returncode == 0, res.stderr
     last = parse_tsv(res.stdout)[1][-1]
-    assert last[0] == "250" and len(last[1]) > 300
+    assert last[0] == "2000" and len(last[1]) == 4350
 
 
 # ----------------------------------------- counterexample exit paths (forced)
 
 
-def test_forced_touchard_counterexample_exits_one(monkeypatch, capsys):
+def test_forced_touchard_counterexample_exits_one(monkeypatch):
     def fake(pp, n_lo, n_hi, bell):
         return CongruenceReport(n_lo, n_hi, ((4, 1, 0),))
 
     monkeypatch.setattr(cli, "touchard_check", fake)
-    assert cli.main(["verify", "2", "1"]) == 1
-    out = capsys.readouterr().out
+    res = run_cli("verify", "2", "1")
+    assert res.returncode == 1
+    out = res.stdout
     assert "n=4 lhs=1 rhs=0" in out
     assert "counterexample" in out
     assert "checked\t100\n" in out
 
 
-def test_forced_cross_recurrence_mismatch_exits_one(monkeypatch, capsys):
+def test_forced_cross_recurrence_mismatch_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "stirling_rows", lambda n_max: ((0,) for _ in range(n_max + 1)))
-    assert cli.main(["bell", "3", "--cross-check"]) == 1
-    assert "recurrences disagree" in capsys.readouterr().err
+    res = run_cli("bell", "3", "--cross-check")
+    assert res.returncode == 1
+    assert "recurrences disagree" in res.stderr
 
 
-def test_forced_construction_mismatch_exits_one(monkeypatch, capsys):
+def test_forced_construction_mismatch_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "shift_poly_recursive", lambda j: (9,) * (j + 1))
-    assert cli.main(["shift-poly", "2", "--check-recursive"]) == 1
-    assert "paths disagree" in capsys.readouterr().err
+    res = run_cli("shift-poly", "2", "--check-recursive")
+    assert res.returncode == 1
+    assert "paths disagree" in res.stderr
 
 
-def test_forced_stream_mismatch_exits_one(monkeypatch, capsys):
+def test_forced_stream_mismatch_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "bell_mod_p_stream", lambda p, n: [0] * (n + 1))
-    assert cli.main(["bell-mod", "3", "10", "--cross-check"]) == 1
-    assert "stream disagrees" in capsys.readouterr().err
+    res = run_cli("bell-mod", "3", "10", "--cross-check")
+    assert res.returncode == 1
+    assert "stream disagrees" in res.stderr
 
 
-def test_forced_missing_fixed_point_exits_one(monkeypatch, capsys):
+def test_forced_missing_fixed_point_exits_one(monkeypatch):
     real = cli.orbit_decomposition
 
     def drop_one_fixed(n, cap):
@@ -700,16 +722,18 @@ def test_forced_missing_fixed_point_exits_one(monkeypatch, capsys):
         return out[:victim] + out[victim + 1 :]
 
     monkeypatch.setattr(cli, "orbit_decomposition", drop_one_fixed)
-    assert cli.main(["orbits", "3", "1"]) == 1
-    assert "counterexample" in capsys.readouterr().out
+    res = run_cli("orbits", "3", "1")
+    assert res.returncode == 1
+    assert "counterexample" in res.stdout
 
 
-def test_internal_error_exits_three_with_traceback(monkeypatch, capsys):
+def test_internal_error_exits_three_with_traceback(monkeypatch):
     def broken(n_max):
         raise ValueError("library fault")
 
     monkeypatch.setattr(cli, "build_bell_binomial", broken)
-    assert cli.main(["bell", "3"]) == 3
-    err = capsys.readouterr().err
+    res = run_cli("bell", "3")
+    assert res.returncode == 3
+    err = res.stderr
     assert err.startswith("Traceback")
     assert "ValueError: library fault" in err

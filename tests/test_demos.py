@@ -1,15 +1,19 @@
-"""Each narrative demo runs to completion and prints the bytes recorded
-for it, and the README quick start runs as written."""
+"""Each narrative demo runs to completion, in a process of its own and
+in this one, and prints the bytes recorded for it, and the README quick
+start runs as written."""
 
 from __future__ import annotations
 
 import doctest
 import hashlib
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
@@ -17,13 +21,6 @@ DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 def test_all_four_demos_are_found():
     assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04"]
-
-
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
-def test_demo_runs(demo):
-    res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip()
 
 
 # sha256 of each demo's stdout, recorded from a known-good build.  A
@@ -38,9 +35,21 @@ RECORDED_DIGESTS = {
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_stdout_matches_recorded_digest(demo):
-    res = subprocess.run([sys.executable, str(demo)], capture_output=True, timeout=60)
+    res = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, env=child_env(), timeout=60
+    )
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout).hexdigest() == RECORDED_DIGESTS[demo.stem]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_runs(demo, capsysbinary):
+    """The demo also runs in this process, after other tests have filled
+    the package's memos, and prints the same bytes: its output owes
+    nothing to a fresh interpreter.  No child process is started."""
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == RECORDED_DIGESTS[demo.stem]
 
 
 def test_readme_quick_start():
