@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from .exact import build_bell_binomial, build_binomials, stirling_rows
 from .modular import (
@@ -65,11 +65,21 @@ class UsageError(Exception):
 
 
 # rows per write: enough to batch short rows, few enough that wide rows (a
-# Bell number runs to thousands of digits) barely raise the peak memory
+# Bell number runs to thousands of digits) barely raise the peak memory.
+# Wide rows keep 64: emission is a few per cent of building them, and a
+# larger chunk only lifts their peak.  Residue rows are short and come in
+# chunks of 100, one per pair of low index digits.
 _CHUNK_ROWS = 64
 
 
-def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozenset()) -> int:
+def _emit(
+    fields: tuple[str, ...],
+    rows,
+    fmt: str,
+    big: frozenset[str] = frozenset(),
+    *,
+    modulus: int | None = None,
+) -> int:
     """Write ``rows`` to stdout and return how many were written.
 
     This is the one writer of stdout.  TSV starts with a ``#``-prefixed
@@ -80,11 +90,20 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozens
     line template per format, ``_CHUNK_ROWS`` at a time, and each chunk
     is a single write; ``rows`` may be any iterable and is consumed once.
     ``json`` is imported here, so a TSV run never loads it.
+
+    With ``modulus=p``, ``rows`` are the residues r_0, r_1, ... in
+    [0, p) without their index, and the bytes are those of
+    ``enumerate(rows)`` under the two ``fields``.  These rows are joined
+    from tables, 100 at a time: row n = 100*k + j is the lead
+    (everything before the index, then ``str(k)``; the first chunk has
+    no ``k``), the two digits of j (unpadded in the first chunk) and the
+    rest of the line for r_n, from a p-entry table.
     """
     if fmt == "tsv":
         sys.stdout.write("#" + "\t".join(fields) + "\n")
         line = "\t".join(["{}"] * len(fields)) + "\n"
         values = chain.from_iterable
+        head, sep, end = "", "\t", "\n"
     else:
         from json import dumps
         from json.encoder import encode_basestring_ascii as quote
@@ -105,8 +124,20 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, big: frozenset[str] = frozens
         def values(chunk):
             return [c(v) for row in chunk for c, v in zip(convert, row)]
 
+        head, sep, end = "{" + quote(fields[0]) + ": ", ", " + quote(fields[1]) + ": ", "}\n"
+
     count = 0
     it = iter(rows)
+    if modulus is not None:
+        tails = [f"{sep}{r}{end}" for r in range(modulus)]
+        low, padded = [str(j) for j in range(100)], [f"{j:02d}" for j in range(100)]
+        lead = head
+        while chunk := list(islice(it, 100)):
+            pieces = zip(repeat(lead), low, map(tails.__getitem__, chunk))
+            sys.stdout.write("".join(chain.from_iterable(pieces)))
+            count += len(chunk)
+            low, lead = padded, head + str(count // 100)
+        return count
     while chunk := list(islice(it, _CHUNK_ROWS)):
         sys.stdout.write((line * len(chunk)).format(*values(chunk)))
         count += len(chunk)
@@ -290,7 +321,7 @@ def cmd_bell_mod(ns: argparse.Namespace) -> int:
                 return _counterexample(
                     f"stream disagrees with exact reduction at n={n}: {got} != {b % p}"
                 )
-    _emit(("n", "residue"), enumerate(residues), ns.format)
+    _emit(("n", "residue"), residues, ns.format, modulus=p)
     return EXIT_OK
 
 

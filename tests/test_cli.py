@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellshift import CongruenceReport
+from bellshift import CongruenceReport, bell_mod_p_stream
 from bellshift import cli
 
 from conftest import BELL_SMALL, child_env
@@ -102,6 +103,20 @@ def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
     parent_emit(fields, mixed_rows(count), fmt, big)
     expected = capsys.readouterr().out
     assert cli._emit(fields, mixed_rows(count), fmt, big) == count
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("p", [2, 13, 199, 1009])
+@pytest.mark.parametrize("count", [0, 1, 99, 100, 101, 1000, 10_001])
+def test_emit_residue_form_matches_enumerated_rows(capsys, fmt, p, count):
+    # 99..101 cross the first chunk's unpadded table; the rest reach
+    # every index width up to five digits
+    fields = ("n", "residue")
+    residues = list(islice(bell_mod_p_stream(p, max(count, p - 1)), count))
+    parent_emit(fields, enumerate(residues), fmt)
+    expected = capsys.readouterr().out
+    assert cli._emit(fields, residues, fmt, modulus=p) == count
     assert capsys.readouterr().out == expected
 
 
@@ -627,9 +642,9 @@ def test_repeated_runs_are_byte_identical():
 
 
 # sha256 of stdout per command and format, recorded from a known-good
-# build: the six criterion-8 commands, three more orbits and a long
-# bell-mod run.  A change to any of these bytes must update this table
-# on purpose.
+# build: the six criterion-8 commands, three more orbits and two long
+# bell-mod runs, the second past 5- and 6-digit indices.  A change to
+# any of these bytes must update this table on purpose.
 RECORDED_DIGESTS = {
     ("bell 30 --cross-check", "tsv"): "a694a9568bf41dc7c3e7dc48936db26fb78b0ebba5c0fcebb6d5e7d8f8eb6a0a",
     ("bell 30 --cross-check", "json-lines"): "04f1324c9e613cbef79cc1a7186e4ce13c5b6fb91a10ae0f48c916c28c5a7d52",
@@ -656,6 +671,8 @@ RECORDED_DIGESTS = {
     ("orbits 11 1", "json-lines"): "553a72ffc9fcbf9f000c2abc455ef51ceadcc5a5ffeeaca91452ab5787a57b7f",
     ("orbits 2 2", "tsv"): "094c259e7b0ff5dbaab5ffef2dfdfd354922c0391bc893e069525e97f9273431",
     ("orbits 2 2", "json-lines"): "e50542287a52b4b6a1877554c3a1135c61ee9fcb0f135043074764d3d577cff6",
+    ("bell-mod 199 100100", "tsv"): "ec9757def09efd6f991192f23a2ba71b0a72e01b8aa596690ebe8ee289146899",
+    ("bell-mod 199 100100", "json-lines"): "ab020b73868d1af08fe08bbc82c49afa177974658ec8fd55497c7cabf4af88d4",
 }
 
 
