@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,39 @@ def child_env() -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+_PEAK_PROBE = """
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+{setup}
+before = peak_kb()
+{stmt}
+print(peak_kb() - before)
+"""
+
+
+def child_peak_growth_mb(stmt: str, setup: str = "") -> float:
+    """How far ``stmt`` raises the peak RSS of a fresh child process, in
+    MB: the child's ``VmHWM`` after ``stmt`` less its ``VmHWM`` after
+    ``setup``.  Skips where ``/proc/self/status`` is absent.
+
+    Neither obvious probe sees this.  ``ru_maxrss`` starts at the
+    spawner's high-water mark, since Linux carries it across exec (see
+    ``perfbench/launcher.py``), so a child of this large process reads
+    this process's peak; ``VmHWM`` belongs to the child's own address
+    space.  ``tracemalloc`` counts live Python objects only, so it misses
+    allocator pools that one small surviving object keeps from being
+    given back."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    code = _PEAK_PROBE.format(setup=setup, stmt=stmt)
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    return int(res.stdout) / 1024
 
 
 def prime_powers(bound: int) -> list[PrimePower]:

@@ -642,9 +642,10 @@ def test_repeated_runs_are_byte_identical():
 
 
 # sha256 of stdout per command and format, recorded from a known-good
-# build: the six criterion-8 commands, three more orbits and two long
-# bell-mod runs, the second past 5- and 6-digit indices.  A change to
-# any of these bytes must update this table on purpose.
+# build: the six criterion-8 commands, three more orbits, two long
+# bell-mod runs, the second past 5- and 6-digit indices, and the
+# benchmark's deepest Bell-table ops.  A change to any of these bytes
+# must update this table on purpose.
 RECORDED_DIGESTS = {
     ("bell 30 --cross-check", "tsv"): "a694a9568bf41dc7c3e7dc48936db26fb78b0ebba5c0fcebb6d5e7d8f8eb6a0a",
     ("bell 30 --cross-check", "json-lines"): "04f1324c9e613cbef79cc1a7186e4ce13c5b6fb91a10ae0f48c916c28c5a7d52",
@@ -673,6 +674,10 @@ RECORDED_DIGESTS = {
     ("orbits 2 2", "json-lines"): "e50542287a52b4b6a1877554c3a1135c61ee9fcb0f135043074764d3d577cff6",
     ("bell-mod 199 100100", "tsv"): "ec9757def09efd6f991192f23a2ba71b0a72e01b8aa596690ebe8ee289146899",
     ("bell-mod 199 100100", "json-lines"): "ab020b73868d1af08fe08bbc82c49afa177974658ec8fd55497c7cabf4af88d4",
+    ("bell 1000 --cross-check --depth 1000", "tsv"): "a3f8d3c3179bdb43eaf1df238d751041670e6636dee694bed917aa68c434a5f5",
+    ("bell 1000 --cross-check --depth 1000", "json-lines"): "4f125fb703424261d81eab41c35bfe40a90f7c0971f12358dde15d2d20347924",
+    ("verify 7 2 --n-hi 600 --depth 649", "tsv"): "91ec2e6def182bf70b4519952954086235b39f5dc6aae229c18af4a2278444ab",
+    ("verify 7 2 --n-hi 600 --depth 649", "json-lines"): "0634eee27d17dba010c58ecf31943fcefc04ad30b66b200c95c679a8a16ff845",
 }
 
 

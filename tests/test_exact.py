@@ -14,7 +14,7 @@ from bellshift import (
     stirling_rows,
 )
 
-from conftest import BELL_SMALL
+from conftest import BELL_SMALL, child_peak_growth_mb
 
 
 # ---------------------------------------------------------------- binomials
@@ -135,6 +135,24 @@ def test_cross_recurrence_equivalence(stirling50):
         assert table[n] == sum(stirling50[n])
         if n >= 1:
             assert table[n] == sum(stirling50[n][1:])
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 1000])
+def test_bell_binomial_matches_stirling_row_sums(n_max):
+    # the Stirling row sums are the independent oracle, here at the
+    # benchmark's depth; each value is a plain int, rebuilt from bytes
+    table = build_bell_binomial(n_max)
+    assert table == tuple(map(sum, stirling_rows(n_max)))
+    assert all(type(v) is int for v in table)
+
+
+def test_bell_binomial_peak_rss_stays_bounded():
+    # a small int kept per row pins an allocator pool that the freed rows
+    # would empty: that read +7.9 MB at n = 1000, the two live rows +3 MB
+    growth = child_peak_growth_mb(
+        "build_bell_binomial(1000)", setup="from bellshift.exact import build_bell_binomial"
+    )
+    assert growth < 5.0
 
 
 def test_bell_strictly_increasing_from_one():
