@@ -24,10 +24,6 @@ away (the status a shell reports for a writer killed by SIGPIPE).  A
 usage error is refused before any work, with one ``error:`` line on
 stderr in the words of the check that owns the limit, as in
 ``error: n=16 exceeds the enumeration cap of 12``.
-
-Configuration precedence is flags over the environment variables
-``BELLSHIFT_DEPTH`` / ``BELLSHIFT_CAP`` over built-in defaults (200 and
-12 respectively).
 """
 
 from __future__ import annotations
@@ -55,9 +51,6 @@ EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 
 DEFAULT_TABLE_DEPTH = 200
-
-DEPTH_ENV = "BELLSHIFT_DEPTH"
-CAP_ENV = "BELLSHIFT_CAP"
 
 
 class UsageError(Exception):
@@ -155,33 +148,13 @@ def _report(ns: argparse.Namespace, rows: list[tuple[str, object]], ok: bool) ->
     return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
-def _limit(flag: int | None, env: str, default: int) -> int:
-    """The flag if given, else the environment variable if set, else the
-    default; the check that uses the value refuses what it cannot take."""
-    if flag is not None:
-        value = flag
-    elif (raw := os.environ.get(env)) is None:
-        value = default
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"environment variable {env}={raw!r} is not an integer")
-    return value
-
-
-def _depth(ns: argparse.Namespace) -> int:
-    return _limit(ns.depth, DEPTH_ENV, DEFAULT_TABLE_DEPTH)
-
-
 def _need_depth(ns: argparse.Namespace, needed: int, what: str) -> None:
-    depth = _depth(ns)
     if needed < 0:
         raise UsageError(f"{what} needs table index {needed}, which must be >= 0")
-    if needed > depth:
+    if needed > ns.depth:
         raise UsageError(
-            f"{what} needs table index {needed}, above the configured depth {depth}; "
-            f"raise --depth (or {DEPTH_ENV})"
+            f"{what} needs table index {needed}, above the configured depth {ns.depth}; "
+            "raise --depth"
         )
 
 
@@ -250,7 +223,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     # touchard_check checks the range too, but only after the table is built
     if ns.n_lo < 1 or ns.n_lo > ns.n_hi:
         raise UsageError(f"need 1 <= n_lo <= n_hi, got [{ns.n_lo}, {ns.n_hi}]")
-    q = _power(pp, _depth(ns), f"{what}: {pp.p}^{pp.m} is above the configured depth")
+    q = _power(pp, ns.depth, f"{what}: {pp.p}^{pp.m} is above the configured depth")
     _need_depth(ns, ns.n_hi + q, what)
     bell = build_bell_binomial(ns.n_hi + q)
     report = touchard_check(pp, ns.n_lo, ns.n_hi, bell)
@@ -274,12 +247,11 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_orbits(ns: argparse.Namespace) -> int:
-    cap = _limit(ns.cap, CAP_ENV, DEFAULT_ENUMERATION_CAP)
     pp = _checked(PrimePower, ns.p, ns.m)
-    n = _power(pp, cap, f"n={pp.p}^{pp.m} exceeds the enumeration cap of {cap}")
+    n = _power(pp, ns.cap, f"n={pp.p}^{pp.m} exceeds the enumeration cap of {ns.cap}")
     hist: dict[int, int] = {}  # orbit size -> orbit count
     fixed = []
-    for rep, size in _checked(orbit_decomposition, n, cap):
+    for rep, size in _checked(orbit_decomposition, n, ns.cap):
         hist[size] = hist.get(size, 0) + 1
         if size == 1:
             fixed.append(rep)
@@ -336,18 +308,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--depth",
         type=int,
-        default=None,
+        default=DEFAULT_TABLE_DEPTH,
         metavar="N",
-        help=f"largest exact-table index any command may touch "
-        f"(default {DEFAULT_TABLE_DEPTH}; env {DEPTH_ENV})",
+        help="largest exact-table index any command may touch (default %(default)s)",
     )
     common.add_argument(
         "--cap",
         type=int,
-        default=None,
+        default=DEFAULT_ENUMERATION_CAP,
         metavar="n",
-        help=f"largest ground set the enumerator will accept "
-        f"(default {DEFAULT_ENUMERATION_CAP}; env {CAP_ENV})",
+        help="largest ground set the enumerator will accept (default %(default)s)",
     )
 
     parser = argparse.ArgumentParser(

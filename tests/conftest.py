@@ -15,11 +15,10 @@ BELL_SMALL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597
 
 def child_env() -> dict[str, str]:
     """The environment for a test whose subject is a real child process:
-    this one's, less every ``BELLSHIFT_*`` variable, with ``src/`` on
-    ``PYTHONPATH``, since pytest's ``pythonpath`` setting reaches only
-    this process."""
+    this one's with ``src/`` on ``PYTHONPATH``, since pytest's
+    ``pythonpath`` setting reaches only this process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLSHIFT_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 

@@ -4,7 +4,6 @@ import ast
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -28,23 +27,17 @@ from test_partitions import seen_set_orbit_decomposition
 DIGITS = sys.get_int_max_str_digits()
 
 
-def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    """``bellshift *args`` run in this process: ``cli.main`` with no
-    ``BELLSHIFT_*`` variable but those of ``env_extra``, its stdout and
-    stderr captured as text, and argparse's ``SystemExit`` code taken as
-    the exit code.  The environment is put back afterwards, and on every
-    exit ``cli.main`` must have given back the digit limit."""
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``bellshift *args`` run in this process: ``cli.main`` with its
+    stdout and stderr captured as text, and argparse's ``SystemExit`` code
+    taken as the exit code.  On every exit ``cli.main`` must have given
+    back the digit limit."""
     out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        for name in [k for k in os.environ if k.startswith("BELLSHIFT_")]:
-            mp.delenv(name)
-        for name, value in (env_extra or {}).items():
-            mp.setenv(name, value)
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(list(args))
-            except SystemExit as exc:
-                code = exc.code
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
     assert sys.get_int_max_str_digits() == DIGITS
     return subprocess.CompletedProcess(["bellshift", *args], code, out.getvalue(), err.getvalue())
 
@@ -143,7 +136,7 @@ def test_cli_writes_stdout_only_through_emit():
 
 def test_only_checked_calls_turn_value_error_into_usage_error():
     # a ValueError from real work is a library fault and must exit 3, so
-    # only the wrapper of argument checks and the env parser may catch it
+    # only the wrapper of argument checks may catch it
     tree = ast.parse(Path(cli.__file__).read_text())
 
     def catches(node):
@@ -160,7 +153,7 @@ def test_only_checked_calls_turn_value_error_into_usage_error():
         for node in ast.walk(fn)
         if catches(node)
     ]
-    assert sorted(catchers) == ["_checked", "_limit"]
+    assert catchers == ["_checked"]
     assert len(catchers) == sum(map(catches, ast.walk(tree)))  # none outside a function
 
 
@@ -210,25 +203,39 @@ def test_bell_cross_check_passes():
 
 
 def test_bell_beyond_depth_is_usage_error():
-    res = run_cli("bell", "9", env_extra={"BELLSHIFT_DEPTH": "5"})
+    res = run_cli("bell", "9", "--depth", "5")
     assert res.returncode == 2
     assert "depth" in res.stderr
 
 
-def test_depth_flag_overrides_env():
-    res = run_cli("bell", "9", "--depth", "9", env_extra={"BELLSHIFT_DEPTH": "5"})
+def test_environment_does_not_change_a_run(monkeypatch):
+    # a run is its argv: names that look like settings of --depth and --cap change nothing
+    argvs = [("bell", "9"), ("orbits", "5", "1")]
+    clean = [run_cli(*argv).stdout for argv in argvs]
+    for name, value in [
+        ("BELLSHIFT_DEPTH", "5"),
+        ("BELLSHIFT_CAP", "4"),
+        ("BELLSHIFT_DEPTH", "many"),
+    ]:
+        monkeypatch.setenv(name, value)
+        for argv, out in zip(argvs, clean):
+            res = run_cli(*argv)
+            assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
+
+
+def test_depth_flag_overrides_env(monkeypatch):
+    # --depth alone decides, whichever way BELLSHIFT_DEPTH points
+    monkeypatch.setenv("BELLSHIFT_DEPTH", "5")
+    res = run_cli("bell", "9", "--depth", "9")
     assert res.returncode == 0
     assert parse_tsv(res.stdout)[1][-1] == ["9", "21147"]
+    monkeypatch.setenv("BELLSHIFT_DEPTH", "500")
+    assert run_cli("bell", "9", "--depth", "5").returncode == 2
 
 
-def test_bad_env_value_is_usage_error():
-    res = run_cli("bell", "5", env_extra={"BELLSHIFT_DEPTH": "many"})
-    assert res.returncode == 2
-    assert "not an integer" in res.stderr
-
-
-def test_bad_depth_env_does_not_reach_commands_without_depth():
-    res = run_cli("orbits", "3", "1", env_extra={"BELLSHIFT_DEPTH": "many"})
+def test_bad_depth_env_does_not_reach_commands_without_depth(monkeypatch):
+    monkeypatch.setenv("BELLSHIFT_DEPTH", "many")
+    res = run_cli("orbits", "3", "1")
     assert res.returncode == 0
     assert records(res.stdout)["status"] == "ok"
 
@@ -370,12 +377,12 @@ def test_orbits_over_cap_is_usage_error():
     assert run_cli("orbits", "2", "4").returncode == 2  # 16 > default cap 12
 
 
-def test_cap_flag_overrides_env():
-    assert run_cli("orbits", "5", "1", env_extra={"BELLSHIFT_CAP": "4"}).returncode == 2
-    assert (
-        run_cli("orbits", "5", "1", "--cap", "5", env_extra={"BELLSHIFT_CAP": "4"}).returncode
-        == 0
-    )
+def test_cap_flag_overrides_env(monkeypatch):
+    # --cap alone decides, whichever way BELLSHIFT_CAP points
+    monkeypatch.setenv("BELLSHIFT_CAP", "4")
+    assert run_cli("orbits", "5", "1", "--cap", "5").returncode == 0
+    monkeypatch.setenv("BELLSHIFT_CAP", "12")
+    assert run_cli("orbits", "5", "1", "--cap", "4").returncode == 2
 
 
 # ---------------------------------------------------------------- bell-mod
@@ -526,8 +533,7 @@ REFUSALS = [
     ("bell-mod 4 10", "p=4 is not prime"),
     (
         "bell-mod 211 100",
-        "bell-mod 211 seeds needs table index 210, above the configured depth 200; "
-        "raise --depth (or BELLSHIFT_DEPTH)",
+        "bell-mod 211 seeds needs table index 210, above the configured depth 200; raise --depth",
     ),
     ("verify 2 1 --n-lo 7 --n-hi 3", "need 1 <= n_lo <= n_hi, got [7, 3]"),
     ("verify 2 10000000", "verify 2 10000000: 2^10000000 is above the configured depth"),

@@ -50,10 +50,14 @@ def test_binomial_symmetry_and_recurrence():
                 assert table[n][k] == table[n - 1][k - 1] + table[n - 1][k]
 
 
-def test_binomial_out_of_range():
-    assert len(build_binomials(5)) == 6
-    with pytest.raises(ValueError):
-        build_binomials(-1)
+@pytest.mark.parametrize(
+    "build", [build_binomials, build_stirling, build_bell_binomial], ids=lambda f: f.__name__
+)
+def test_table_has_n_max_plus_one_rows_and_refuses_negative_n_max(build):
+    for n in (0, 5):
+        assert len(build(n)) == n + 1
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        build(-1)
 
 
 # ----------------------------------------------------------------- stirling
@@ -97,12 +101,6 @@ def test_stirling_rows_checks_n_max_when_called():
         stirling_rows(-1)
 
 
-def test_stirling_value_accessor():
-    assert len(build_stirling(6)) == 7
-    with pytest.raises(ValueError):
-        build_stirling(-2)
-
-
 # ------------------------------------------------------------- bell numbers
 
 
@@ -119,14 +117,6 @@ def test_bell_binomial_defining_sum(bell300):
     # the paper's binomial convolution, the oracle for the Bell triangle
     for n in range(300):
         assert bell300[n + 1] == sum(bell300[d] * comb(n, n - d) for d in range(n + 1))
-
-
-def test_bell_value_accessor():
-    table = build_bell_binomial(3)
-    assert table[2] == 2
-    assert len(table) == 4
-    with pytest.raises(ValueError):
-        build_bell_binomial(-1)
 
 
 def test_cross_recurrence_equivalence(stirling50):

@@ -121,6 +121,24 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == set()
 
 
+def test_no_module_reads_the_environment():
+    # a run depends on its arguments only
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(bellshift.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names if n in readers]
+    assert found == []
+
+
 # ------------------------------------------------------------------ start-up
 
 # what ``dataclasses`` pulls in, and ``json``, which only json-lines output needs
