@@ -23,7 +23,10 @@ error (the traceback goes to stderr), 141 = the reader of stdout went
 away (the status a shell reports for a writer killed by SIGPIPE).  A
 usage error is refused before any work, with one ``error:`` line on
 stderr in the words of the check that owns the limit, as in
-``error: n=16 exceeds the enumeration cap of 12``.
+``error: n=16 exceeds the enumeration cap of 12``.  Every exit 1 writes
+one ``counterexample:`` line on stderr naming the failed check and both
+its values; ``orbits`` checks its total against B_n too.  ``main`` alone
+maps a command's outcome (that line's text, or ``None``) to a code.
 """
 
 from __future__ import annotations
@@ -60,8 +63,7 @@ class UsageError(Exception):
 # rows per write: enough to batch short rows, few enough that wide rows (a
 # Bell number runs to thousands of digits) barely raise the peak memory.
 # Wide rows keep 64: emission is a few per cent of building them, and a
-# larger chunk only lifts their peak.  Residue rows are short and come in
-# chunks of 100, one per pair of low index digits.
+# larger chunk only lifts their peak.
 _CHUNK_ROWS = 64
 
 
@@ -75,19 +77,19 @@ def _emit(
 ) -> int:
     """Write ``rows`` to stdout and return how many were written.
 
-    This is the one writer of stdout.  TSV starts with a ``#``-prefixed
-    header line and writes each value as ``str(v)``.  A json-lines row
-    is byte for byte ``json.dumps`` of the dict from ``fields`` to the
-    row, with each field in ``big`` replaced by its ``str()``, so a big
-    integer becomes a decimal string.  Rows are formatted through one
-    line template per format, ``_CHUNK_ROWS`` at a time, and each chunk
-    is a single write; ``rows`` may be any iterable and is consumed once.
-    ``json`` is imported here, so a TSV run never loads it.
+    This is the one writer of stdout, and each value it writes is an
+    ``int`` or a ``str``.  TSV starts with a ``#``-prefixed header line
+    and writes each value as ``str(v)``.  A json-lines row is byte for
+    byte ``json.dumps`` of the dict from ``fields`` to the row, with each
+    field in ``big`` replaced by its ``str()``, so a big integer becomes a
+    decimal string.  ``json`` is imported here, so a TSV run never loads it.
 
-    With ``modulus=p``, ``rows`` are the residues r_0, r_1, ... in
-    [0, p) without their index, and the bytes are those of
-    ``enumerate(rows)`` under the two ``fields``.  These rows are joined
-    from tables, 100 at a time: row n = 100*k + j is the lead
+    ``rows`` may be any iterable and is consumed once, one chunk per
+    write.  Rows are formatted ``_CHUNK_ROWS`` at a time through one line
+    template per format.  With ``modulus=p``, ``rows`` are the residues
+    r_0, r_1, ... in [0, p) without their index, and the bytes are those
+    of ``enumerate(rows)`` under the two ``fields``.  These rows are
+    joined from tables, 100 at a time: row n = 100*k + j is the lead
     (everything before the index, then ``str(k)``; the first chunk has
     no ``k``), the two digits of j (unpadded in the first chunk) and the
     rest of the line for r_n, from a p-entry table.
@@ -96,56 +98,45 @@ def _emit(
         sys.stdout.write("#" + "\t".join(fields) + "\n")
         line = "\t".join(["{}"] * len(fields)) + "\n"
         values = chain.from_iterable
-        head, sep, end = "", "\t", "\n"
     else:
-        from json import dumps
         from json.encoder import encode_basestring_ascii as quote
 
-        def value(v):
-            # as json.dumps writes it; the line template renders an int
-            if type(v) is int:
-                return v
-            return quote(v) if type(v) is str else dumps(v)
-
-        def big_value(v):
-            return quote(str(v))
-
-        keys = (quote(f) + ": {}" for f in fields)
-        line = "{{" + ", ".join(keys) + "}}\n"
-        convert = [big_value if f in big else value for f in fields]
+        line = "{{" + ", ".join(quote(f) + ": {}" for f in fields) + "}}\n"
+        as_str = [f in big for f in fields]
 
         def values(chunk):
-            return [c(v) for row in chunk for c, v in zip(convert, row)]
+            # an int goes through the template as json.dumps writes it
+            pairs = (sv for row in chunk for sv in zip(as_str, row))
+            return [quote(str(v)) if s or type(v) is str else v for s, v in pairs]
 
-        head, sep, end = "{" + quote(fields[0]) + ": ", ", " + quote(fields[1]) + ": ", "}\n"
+    if modulus is None:
+        size = _CHUNK_ROWS
+
+        def render(chunk, start):
+            return (line * len(chunk)).format(*values(chunk))
+    else:
+        size = 100
+        head, sep, end = line.format("\0", "\0").split("\0")
+        tails = [f"{sep}{r}{end}" for r in range(modulus)]
+        low, padded = [str(j) for j in range(100)], [f"{j:02d}" for j in range(100)]
+
+        def render(chunk, start):
+            lead, digits = (head + str(start // 100), padded) if start else (head, low)
+            pieces = zip(repeat(lead), digits, map(tails.__getitem__, chunk))
+            return "".join(chain.from_iterable(pieces))
 
     count = 0
     it = iter(rows)
-    if modulus is not None:
-        tails = [f"{sep}{r}{end}" for r in range(modulus)]
-        low, padded = [str(j) for j in range(100)], [f"{j:02d}" for j in range(100)]
-        lead = head
-        while chunk := list(islice(it, 100)):
-            pieces = zip(repeat(lead), low, map(tails.__getitem__, chunk))
-            sys.stdout.write("".join(chain.from_iterable(pieces)))
-            count += len(chunk)
-            low, lead = padded, head + str(count // 100)
-        return count
-    while chunk := list(islice(it, _CHUNK_ROWS)):
-        sys.stdout.write((line * len(chunk)).format(*values(chunk)))
+    while chunk := list(islice(it, size)):
+        sys.stdout.write(render(chunk, count))
         count += len(chunk)
     return count
 
 
-def _counterexample(msg: str) -> int:
-    print(f"counterexample: {msg}", file=sys.stderr)
-    return EXIT_COUNTEREXAMPLE
-
-
-def _report(ns: argparse.Namespace, rows: list[tuple[str, object]], ok: bool) -> int:
-    rows.append(("status", "ok" if ok else "counterexample"))
+def _report(ns: argparse.Namespace, rows: list[tuple], failure: str | None) -> str | None:
+    rows.append(("status", "ok" if failure is None else "counterexample"))
     _emit(("record", "value"), rows, ns.format, frozenset({"value"}))
-    return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
+    return failure
 
 
 def _need_depth(ns: argparse.Namespace, needed: int, what: str) -> None:
@@ -175,19 +166,19 @@ def _power(pp: PrimePower, limit: int, refusal: str) -> int:
     return pp.value
 
 
-def cmd_bell(ns: argparse.Namespace) -> int:
+def cmd_bell(ns: argparse.Namespace) -> str | None:
     _need_depth(ns, ns.n_max, f"bell {ns.n_max}")
     table = build_bell_binomial(ns.n_max)
     if ns.cross_check:
         for n, row in enumerate(stirling_rows(ns.n_max)):
             other = sum(row)
             if other != table[n]:
-                return _counterexample(f"recurrences disagree at n={n}: {table[n]} != {other}")
+                return f"recurrences disagree at n={n}: {table[n]} != {other}"
     _emit(("n", "bell"), enumerate(table), ns.format, frozenset({"bell"}))
-    return EXIT_OK
+    return None
 
 
-def cmd_stirling(ns: argparse.Namespace) -> int:
+def cmd_stirling(ns: argparse.Namespace) -> None:
     _need_depth(ns, ns.n_max, f"stirling {ns.n_max}")
     rows = enumerate(stirling_rows(ns.n_max))  # one row held at a time
     _emit(
@@ -196,10 +187,9 @@ def cmd_stirling(ns: argparse.Namespace) -> int:
         ns.format,
         frozenset({"value"}),
     )
-    return EXIT_OK
 
 
-def cmd_shift_poly(ns: argparse.Namespace) -> int:
+def cmd_shift_poly(ns: argparse.Namespace) -> str | None:
     _need_depth(ns, ns.j, f"shift-poly {ns.j}")
     closed = shift_poly_closed(ns.j, build_bell_binomial(ns.j), build_binomials(ns.j))
     if ns.check_recursive:
@@ -211,13 +201,13 @@ def cmd_shift_poly(ns: argparse.Namespace) -> int:
             frozenset({"closed", "recursive"}),
         )
         if closed != recursive:
-            return _counterexample(f"construction paths disagree for shift {ns.j}")
-        return EXIT_OK
-    _emit(("r", "coefficient"), enumerate(closed), ns.format, frozenset({"coefficient"}))
-    return EXIT_OK
+            return f"construction paths disagree for shift {ns.j}"
+    else:
+        _emit(("r", "coefficient"), enumerate(closed), ns.format, frozenset({"coefficient"}))
+    return None
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
+def cmd_verify(ns: argparse.Namespace) -> str | None:
     pp = _checked(PrimePower, ns.p, ns.m)
     what = f"verify {pp.p} {pp.m}"
     # touchard_check checks the range too, but only after the table is built
@@ -238,15 +228,18 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         ("checked", report.checked),
         ("counterexample_count", len(report.counterexamples)),
     ]
-    rows.extend(
-        ("counterexample", f"n={n} lhs={lhs} rhs={rhs}")
-        for n, lhs, rhs in report.counterexamples
-    )
+    found = [f"n={n} lhs={lhs} rhs={rhs}" for n, lhs, rhs in report.counterexamples]
+    rows.extend(("counterexample", text) for text in found)
     rows.extend([("predicted_residue", predicted), ("actual_residue", actual)])
-    return _report(ns, rows, report.ok and predicted == actual)
+    failure = None
+    if found:
+        failure = f"Touchard's congruence fails at {found[0]}"
+    elif predicted != actual:
+        failure = f"B_{pp.value} mod {pp.p} is {actual}, predicted {predicted}"
+    return _report(ns, rows, failure)
 
 
-def cmd_orbits(ns: argparse.Namespace) -> int:
+def cmd_orbits(ns: argparse.Namespace) -> str | None:
     pp = _checked(PrimePower, ns.p, ns.m)
     n = _power(pp, ns.cap, f"n={pp.p}^{pp.m} exceeds the enumeration cap of {ns.cap}")
     hist: dict[int, int] = {}  # orbit size -> orbit count
@@ -256,6 +249,7 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
         if size == 1:
             fixed.append(rep)
     total = sum(size * count for size, count in hist.items())
+    bell = build_bell_binomial(n)[n]  # n is at most the cap, so this is cheap
     rows = [
         ("p", pp.p),
         ("m", pp.m),
@@ -273,10 +267,17 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
         ]
     )
     rows.extend((f"fixed_{i}", str(SetPartition(rgs))) for i, rgs in enumerate(fixed))
-    return _report(ns, rows, len(fixed) == pp.m + 1 and len(fixed) % pp.p == total % pp.p)
+    failure = None
+    if total != bell:
+        failure = f"orbits of {n} hold {total} partitions, B_{n} = {bell}"
+    elif len(fixed) != pp.m + 1:
+        failure = f"{len(fixed)} fixed partitions, expected {pp.m + 1}"
+    elif len(fixed) % pp.p != total % pp.p:
+        failure = f"fixed residue {len(fixed) % pp.p} != bell residue {total % pp.p}"
+    return _report(ns, rows, failure)
 
 
-def cmd_bell_mod(ns: argparse.Namespace) -> int:
+def cmd_bell_mod(ns: argparse.Namespace) -> str | None:
     p = _checked(PrimePower, ns.p, 1).p
     if ns.cross_check:
         _need_depth(ns, ns.n_max, f"bell-mod {p} {ns.n_max} --cross-check")
@@ -290,11 +291,9 @@ def cmd_bell_mod(ns: argparse.Namespace) -> int:
         residues = list(residues)
         for n, (got, b) in enumerate(zip(residues, bell, strict=True)):
             if got != b % p:
-                return _counterexample(
-                    f"stream disagrees with exact reduction at n={n}: {got} != {b % p}"
-                )
+                return f"stream disagrees with exact reduction at n={n}: {got} != {b % p}"
     _emit(("n", "residue"), residues, ns.format, modulus=p)
-    return EXIT_OK
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,13 +384,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     # big table values outgrow the int-to-str digit guard: lift it for this call
-    if hasattr(sys, "set_int_max_str_digits"):
-        digits = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        code = ns.func(ns)
+        failure = ns.func(ns)
+        if failure is not None:
+            print(f"counterexample: {failure}", file=sys.stderr)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
-        return code
+        return EXIT_OK if failure is None else EXIT_COUNTEREXAMPLE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -404,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.excepthook(type(exc), exc, exc.__traceback__)
         return EXIT_INTERNAL
     finally:
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(digits)
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

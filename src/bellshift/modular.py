@@ -140,10 +140,6 @@ class CongruenceReport(_Frozen):
     def checked(self) -> int:
         return self.n_hi - self.n_lo + 1
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
 
 def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     """Collapse P_{p^m} mod p to its two surviving terms and return the

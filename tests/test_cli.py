@@ -59,6 +59,15 @@ def records(out: str) -> dict[str, str]:
     return dict(rows)
 
 
+def counterexample(res: subprocess.CompletedProcess) -> str:
+    """The text of the one ``counterexample:`` line that a run exiting 1
+    writes to stderr."""
+    assert res.returncode == 1, res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("counterexample: "), res.stderr
+    return lines[0].removeprefix("counterexample: ")
+
+
 # ---------------------------------------------------------------- emission
 
 
@@ -83,7 +92,7 @@ def mixed_rows(count):
         small = (-1) ** i * (i % 7)
         huge = -(10 ** (20 + i)) if i % 3 else 7 ** (i + 40)
         label = _AWKWARD[i % len(_AWKWARD)]
-        other = (None, True, 1.5, -3, label)[i % 5]
+        other = (0, -3, 10**30, label)[i % 4]  # _emit takes ints and strs only
         value = label if i % 4 == 1 else huge  # a big field may carry a string
         yield (small, value, label, other)
 
@@ -155,6 +164,40 @@ def test_only_checked_calls_turn_value_error_into_usage_error():
     ]
     assert catchers == ["_checked"]
     assert len(catchers) == sum(map(catches, ast.walk(tree)))  # none outside a function
+
+
+def test_only_main_picks_an_exit_code():
+    # a command returns what failed, or None; main alone maps that to a
+    # code and writes the counterexample line
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+
+    def sites(found):
+        inside = [fn.name for fn in functions for node in ast.walk(fn) if found(node)]
+        assert len(inside) == sum(map(found, ast.walk(tree)))  # none outside a function
+        return set(inside)
+
+    def reads_outcome_code(node):
+        return (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id in ("EXIT_OK", "EXIT_COUNTEREXAMPLE")
+        )
+
+    def writes_counterexample(node):
+        return isinstance(node, ast.Call) and "counterexample:" in ast.unparse(node)
+
+    assert sites(reads_outcome_code) == {"main"}
+    assert sites(writes_counterexample) == {"main"}
+    commands = [fn for fn in functions if fn.name.startswith("cmd_")]
+    assert len(commands) == 6
+    for fn in commands:
+        assert ast.unparse(fn.returns) in ("str | None", "None"), fn.name
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Return) and node.value is not None:
+                value = node.value
+                assert not (isinstance(value, ast.Constant) and type(value.value) is int)
+                assert "EXIT_" not in ast.unparse(value), (fn.name, node.lineno)
 
 
 def test_set_partition_is_never_built_past_its_check():
@@ -713,7 +756,7 @@ def test_forced_touchard_counterexample_exits_one(monkeypatch):
 
     monkeypatch.setattr(cli, "touchard_check", fake)
     res = run_cli("verify", "2", "1")
-    assert res.returncode == 1
+    assert counterexample(res) == "Touchard's congruence fails at n=4 lhs=1 rhs=0"
     out = res.stdout
     assert "n=4 lhs=1 rhs=0" in out
     assert "counterexample" in out
@@ -723,22 +766,20 @@ def test_forced_touchard_counterexample_exits_one(monkeypatch):
 def test_forced_cross_recurrence_mismatch_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "stirling_rows", lambda n_max: ((0,) for _ in range(n_max + 1)))
     res = run_cli("bell", "3", "--cross-check")
-    assert res.returncode == 1
-    assert "recurrences disagree" in res.stderr
+    assert counterexample(res) == "recurrences disagree at n=0: 1 != 0"
 
 
 def test_forced_construction_mismatch_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "shift_poly_recursive", lambda j: (9,) * (j + 1))
     res = run_cli("shift-poly", "2", "--check-recursive")
-    assert res.returncode == 1
-    assert "paths disagree" in res.stderr
+    assert "paths disagree" in counterexample(res)
 
 
 def test_forced_stream_mismatch_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "bell_mod_p_stream", lambda p, n: [0] * (n + 1))
     res = run_cli("bell-mod", "3", "10", "--cross-check")
-    assert res.returncode == 1
-    assert "stream disagrees" in res.stderr
+    assert "stream disagrees" in counterexample(res)
+    assert res.stdout == ""
 
 
 def test_forced_missing_fixed_point_exits_one(monkeypatch):
@@ -751,8 +792,58 @@ def test_forced_missing_fixed_point_exits_one(monkeypatch):
 
     monkeypatch.setattr(cli, "orbit_decomposition", drop_one_fixed)
     res = run_cli("orbits", "3", "1")
-    assert res.returncode == 1
-    assert "counterexample" in res.stdout
+    assert counterexample(res) == "orbits of 3 hold 4 partitions, B_3 = 5"
+    assert records(res.stdout)["status"] == "counterexample"
+
+
+def test_forced_fixed_count_mismatch_exits_one(monkeypatch):
+    # the orbit of size 3 reported as three fixed points keeps the total at B_3
+    real = cli.orbit_decomposition
+
+    def split_orbit(n, cap):
+        for rep, size in real(n, cap):
+            yield from [(rep, 1)] * size
+
+    monkeypatch.setattr(cli, "orbit_decomposition", split_orbit)
+    res = run_cli("orbits", "3", "1")
+    assert counterexample(res) == "5 fixed partitions, expected 2"
+    assert records(res.stdout)["total_partitions"] == "5"
+
+
+def test_forced_residue_mismatch_exits_one(monkeypatch):
+    # the sweep is clean, so the B_{p^m} residue is the check that fails
+    monkeypatch.setattr(cli, "reduce_shift_poly", lambda pp, bell: 1)
+    res = run_cli("verify", "3", "2")
+    assert counterexample(res) == "B_9 mod 3 is 1, predicted 0"
+    rec = records(res.stdout)
+    assert rec["counterexample_count"] == "0" and rec["status"] == "counterexample"
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1)])
+def test_forced_missing_orbit_exits_one(monkeypatch, p, m):
+    # a walk that loses one orbit of size > 1 keeps the fixed count and,
+    # since the size is a multiple of p, the residue: only the total
+    # against B_n catches it
+    real = cli.orbit_decomposition
+    dropped = []
+
+    def drop_one_orbit(n, cap):
+        for rep, size in real(n, cap):
+            if size > 1 and not dropped:
+                dropped.append(size)
+                continue
+            yield rep, size
+
+    monkeypatch.setattr(cli, "orbit_decomposition", drop_one_orbit)
+    res = run_cli("orbits", str(p), str(m))
+    n = p**m
+    bell = cli.build_bell_binomial(n)[n]
+    total = bell - dropped[0]
+    assert counterexample(res) == f"orbits of {n} hold {total} partitions, B_{n} = {bell}"
+    rec = records(res.stdout)
+    assert rec["total_partitions"] == str(total)
+    assert rec["fixed_count"] == rec["expected_fixed"] == str(m + 1)
+    assert rec["status"] == "counterexample"
 
 
 def test_internal_error_exits_three_with_traceback(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 
 from bellshift import modular
 from bellshift import (
-    CongruenceReport,
     PrimePower,
     bell_mod_p_stream,
     bell_prime_power_residue,
@@ -144,11 +143,11 @@ def test_divisibility_is_special_to_prime_powers(binom300):
 
 def test_touchard_examples(bell300):
     rep = touchard_check(PrimePower(2, 1), 1, 1, bell300)
-    assert rep.ok and rep.checked == 1
+    assert rep.counterexamples == () and rep.checked == 1
     rep = touchard_check(PrimePower(3, 1), 2, 2, bell300)
-    assert rep.ok
+    assert rep.counterexamples == ()
     rep = touchard_check(PrimePower(7, 2), 1, 100, bell300)
-    assert rep.ok and rep.checked == 100 and rep.counterexamples == ()
+    assert rep.counterexamples == () and rep.checked == 100
 
 
 def test_touchard_validation(bell300):
@@ -170,13 +169,6 @@ def test_touchard_check_takes_only_int_bounds(bell300, n_lo, n_hi, name):
     # a bool passes every range check and would land in the report
     with pytest.raises(TypeError, match=f"{name} must be of type int"):
         touchard_check(PrimePower(2, 1), n_lo, n_hi, bell300)
-
-
-def test_report_ok_flips_on_counterexamples():
-    clean = CongruenceReport(1, 10, ())
-    assert clean.ok and clean.checked == 10
-    dirty = CongruenceReport(1, 10, ((4, 1, 0),))
-    assert not dirty.ok and dirty.checked == 10
 
 
 # ------------------------------------------------------------- streaming mod p
