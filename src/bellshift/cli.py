@@ -12,10 +12,14 @@ Subcommands::
     bell-mod P N    streaming B_n mod p, optionally cross-checked
 
 Every subcommand accepts ``--format {tsv,json-lines}``, ``--depth`` and
-``--cap``.  TSV is tab-separated with a single ``#``-prefixed header
-line; JSON-lines emits one object per line with values that can exceed
-word size rendered as decimal strings.  Output is deterministic: the
-same flags always produce byte-identical bytes.
+``--cap``.  ``--depth`` bounds the largest exact-table index that
+``bell``, ``stirling``, ``shift-poly`` and ``verify`` build, and
+``bell-mod``'s seed triangle and ``--cross-check`` table; ``--cap``
+alone bounds ``orbits``, whose B_n has n at most the cap.  TSV is
+tab-separated with a single ``#``-prefixed header line; JSON-lines emits
+one object per line with values that can exceed word size rendered as
+decimal strings.  Output is deterministic: the same flags always produce
+byte-identical bytes.
 
 Exit codes are load-bearing: 0 = all checks passed, 1 = a mathematical
 counterexample was found, 2 = usage or configuration error, 3 = internal
@@ -61,10 +65,9 @@ class UsageError(Exception):
 
 
 # rows per write: enough to batch short rows, few enough that wide rows (a
-# Bell number runs to thousands of digits) barely raise the peak memory.
-# Wide rows keep 64: emission is a few per cent of building them, and a
-# larger chunk only lifts their peak.
-_CHUNK_ROWS = 64
+# Bell number runs to thousands of digits) barely raise the peak memory;
+# the residue form's two-digit tables need exactly 100
+_CHUNK_ROWS = 100
 
 
 def _emit(
@@ -84,12 +87,12 @@ def _emit(
     field in ``big`` replaced by its ``str()``, so a big integer becomes a
     decimal string.  ``json`` is imported here, so a TSV run never loads it.
 
-    ``rows`` may be any iterable and is consumed once, one chunk per
-    write.  Rows are formatted ``_CHUNK_ROWS`` at a time through one line
-    template per format.  With ``modulus=p``, ``rows`` are the residues
-    r_0, r_1, ... in [0, p) without their index, and the bytes are those
-    of ``enumerate(rows)`` under the two ``fields``.  These rows are
-    joined from tables, 100 at a time: row n = 100*k + j is the lead
+    ``rows`` may be any iterable and is consumed once, ``_CHUNK_ROWS``
+    = 100 rows per write.  Rows are formatted through one line template
+    per format.  With ``modulus=p``, ``rows`` are the residues r_0, r_1,
+    ... in [0, p) without their index, and the bytes are those of
+    ``enumerate(rows)`` under the two ``fields``.  These rows are joined
+    from tables, a chunk at a time: row n = 100*k + j is the lead
     (everything before the index, then ``str(k)``; the first chunk has
     no ``k``), the two digits of j (unpadded in the first chunk) and the
     rest of the line for r_n, from a p-entry table.
@@ -110,12 +113,9 @@ def _emit(
             return [quote(str(v)) if s or type(v) is str else v for s, v in pairs]
 
     if modulus is None:
-        size = _CHUNK_ROWS
-
         def render(chunk, start):
             return (line * len(chunk)).format(*values(chunk))
     else:
-        size = 100
         head, sep, end = line.format("\0", "\0").split("\0")
         tails = [f"{sep}{r}{end}" for r in range(modulus)]
         low, padded = [str(j) for j in range(100)], [f"{j:02d}" for j in range(100)]
@@ -127,7 +127,7 @@ def _emit(
 
     count = 0
     it = iter(rows)
-    while chunk := list(islice(it, size)):
+    while chunk := list(islice(it, _CHUNK_ROWS)):
         sys.stdout.write(render(chunk, count))
         count += len(chunk)
     return count
@@ -309,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_TABLE_DEPTH,
         metavar="N",
-        help="largest exact-table index any command may touch (default %(default)s)",
+        help="largest exact-table index that bell, shift-poly, stirling, verify and "
+        "bell-mod may build; orbits reads only --cap (default %(default)s)",
     )
     common.add_argument(
         "--cap",

@@ -29,6 +29,10 @@ their orbit, comparing each rotation after its canonical relabelling,
 so it meets each orbit once, at its least member, yields it as a
 (representative, size) pair and remembers nothing: at n = 11 it keeps
 117,989 prefixes for 61,690 orbits, against B_11 = 678,570 strings.
+One tie test, run at each new position, keeps the rotations that still
+tie with the string; at a full string it runs on through the
+wrap-around, and the least rotation that comes full circle gives the
+orbit's size.
 
 Enumeration refuses ground sets above a configurable cap (default 12,
 about 4.2 million partitions) so that full orbit decompositions stay at
@@ -213,16 +217,19 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
     A depth-first walk over RGS prefixes, children in increasing label
     order.  At depth i it keeps every rotation start q in [1, i] whose
-    canonical relabelling of s[q..i] still ties with s[0..i-q].  While q
-    ties, its relabelling maps s[x] to s[x-q], so the label it gives s[i]
-    is s[j-q] when the latest earlier position j holding s[i] lies at or
-    past q, and the next fresh label otherwise.  A label below s[i-q]
-    cuts the prefix, since every completion has a smaller rotation; a
-    label above it drops q.  At a leaf the tied starts run the same test
-    on through the wrap-around (position x >= n holds s[x-n]); the first
-    start to tie all the way round is the orbit size, and a string whose
-    starts all drop has an orbit of full size n.  Nothing is remembered
-    between leaves.
+    canonical relabelling of s[q..i] still ties with s[0..i-q].  One test
+    decides whether position x, holding label v, keeps each tied start q:
+    while q ties, its relabelling maps s[x] to s[x-q], so the label it
+    gives v is s[j-q] when the latest earlier position j holding v lies
+    at or past q, and the next fresh label otherwise.  A label below
+    s[x-q] cuts the prefix, since every completion has a smaller
+    rotation; a label above it drops q.  The descent runs the test at
+    x = i with the label it tries, then adds start i.  At a leaf the same
+    test runs on through the wrap-around, at x = n, n+1, ... with the
+    label s[x-n], and adds no start: once the least start has come full
+    circle it ties all the way round and is the orbit size, and a string
+    whose starts all drop has an orbit of full size n.  Nothing is
+    remembered between leaves.
     """
     if n == 1:
         yield (0,), 1
@@ -241,47 +248,39 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
             i -= 1
             continue
         s[i] = v
+        used[i] = top + (v == top)
         last = lasts[i]
-        j = last[v]
-        keep = []
-        for q in tied[i]:
-            label = s[j - q] if j >= q else used[i - 1 - q]
-            if label < s[i - q]:
-                break
-            if label == s[i - q]:
-                keep.append(q)
-        else:
-            used[i] = top + (v == top)
-            keep.append(i)
-            last = last[:]
-            last[v] = i
-            if i < n - 1:
-                i += 1
-                lasts[i] = last
-                tied[i] = keep
-                s[i] = -1
-                continue
-            x = n  # the leaf: the test above, on the wrapped positions
-            while keep[0] > x - n:  # start keep[0] has not come full circle
-                v = s[x - n]
-                j = last[v]
-                still = []
-                for q in keep:
-                    label = s[j - q] if j >= q else used[x - 1 - q]
-                    if label < s[x - q]:
-                        break
-                    if label == s[x - q]:
-                        still.append(q)
-                else:
-                    last[v] = x
-                    x += 1
-                    keep = still
-                    if keep:
-                        continue
-                    yield tuple(s), n
-                break
+        keep = tied[i]
+        x = i  # the position tested: i, then n, n+1, ... at a leaf
+        while True:
+            j = last[v]
+            still = []
+            for q in keep:
+                label = s[j - q] if j >= q else used[x - 1 - q]
+                if label < s[x - q]:
+                    break
+                if label == s[x - q]:
+                    still.append(q)
             else:
-                yield tuple(s), keep[0]
+                keep = still
+                if x == i:
+                    keep.append(i)
+                    last = last[:]
+                last[v] = x
+                x += 1
+                if x < n:
+                    i = x
+                    lasts[i] = last
+                    tied[i] = keep
+                    s[i] = -1
+                elif not keep:
+                    yield tuple(s), n
+                elif keep[0] > x - n:  # start keep[0] has not come full circle
+                    v = s[x - n]
+                    continue
+                else:
+                    yield tuple(s), keep[0]
+            break
 
 
 def orbit_decomposition(

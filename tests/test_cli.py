@@ -98,7 +98,8 @@ def mixed_rows(count):
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
-@pytest.mark.parametrize("count", [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+# 64 and 65 end inside the first chunk; the last two cross its boundary
+@pytest.mark.parametrize("count", [0, 1, 64, 65, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
 def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
     fields = ("n", "value", "label", "other")
     big = frozenset({"value"})
@@ -281,6 +282,14 @@ def test_bad_depth_env_does_not_reach_commands_without_depth(monkeypatch):
     res = run_cli("orbits", "3", "1")
     assert res.returncode == 0
     assert records(res.stdout)["status"] == "ok"
+
+
+def test_orbits_reads_cap_not_depth():
+    # orbits builds B_n for n <= cap; --depth bounds the table commands only
+    plain = run_cli("orbits", "2", "3")
+    shallow = run_cli("orbits", "2", "3", "--depth", "5")
+    assert (shallow.returncode, shallow.stdout, shallow.stderr) == (0, plain.stdout, "")
+    assert plain.returncode == 0
 
 
 # --------------------------------------------------------------- stirling

@@ -1,9 +1,11 @@
 """Every oracle bites: one small, realistic fault planted in a kernel must
-make the CLI check that covers it exit 1.
+make the check that covers it fail.
 
-Each row names a module-level function, a mutant built from the real one,
-and the argv whose shipped check must catch it.  The same argv first runs
-unpatched and must pass, so no row can pass vacuously."""
+Each CLI row names a module-level function, a mutant built from the real
+one, and the argv whose shipped check must catch it.  The same argv first
+runs unpatched and must pass, so no row can pass vacuously.  A kernel
+with no CLI check, the prefix walk behind ``count_by_blocks``, is checked
+the same way against its slow oracle in the tests."""
 
 from __future__ import annotations
 
@@ -12,7 +14,10 @@ from itertools import count
 
 import pytest
 
+from bellshift import count_by_blocks, partitions
+
 from test_cli import counterexample, run_cli
+from test_partitions import max_tally_by_blocks
 
 
 def lambda_off(real):
@@ -100,3 +105,40 @@ def test_planted_fault_exits_one(monkeypatch, target, mutant, argv):
     module, name = target.rsplit(".", 1)
     monkeypatch.setattr(target, mutant(getattr(importlib.import_module(module), name)))
     assert counterexample(run_cli(*argv.split()))
+
+
+def bound_not_raised(real):
+    # after a new block opens, the entries past it keep the old bound
+    def walk(n):
+        a = [0] * n
+        b = [1] * n
+        b[0] = 0
+        while True:
+            yield a, b[-1]
+            i = n - 2
+            while i > 0 and a[i] == b[i]:
+                i -= 1
+            if i <= 0:
+                return
+            a[i] += 1
+            for k in range(i + 1, n):
+                a[k] = 0
+                b[k] = b[i]
+
+    return walk
+
+
+def top_off_at_4th_prefix(real):
+    def walk(n):
+        for k, (a, top) in enumerate(real(n), 1):
+            yield a, top + (k == 4)
+
+    return walk
+
+
+@pytest.mark.parametrize("mutant", [bound_not_raised, top_off_at_4th_prefix])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_planted_prefix_walk_fault_breaks_the_max_tally(monkeypatch, mutant, n):
+    assert count_by_blocks(n) == max_tally_by_blocks(n)
+    monkeypatch.setattr(partitions, "_prefix_walk", mutant(partitions._prefix_walk))
+    assert count_by_blocks(n) != max_tally_by_blocks(n)

@@ -382,6 +382,20 @@ def test_orbit_walk_matches_seen_set_oracle(n):
     assert tuple(orbit_decomposition(n)) == seen_set_orbit_decomposition(n)
 
 
+def test_orbit_walk_past_the_seen_set_oracle_is_pinned():
+    # sha256 over repr of every (rep, size) pair at n = 11, recorded from
+    # the walk that the seen-set oracle checks through n = 10
+    digest = hashlib.sha256()
+    count = 0
+    for pair in orbit_decomposition(11):
+        digest.update(repr(pair).encode())
+        count += 1
+    assert count == 61_690
+    assert digest.hexdigest() == (
+        "a341f6d316305644153244f64ae1b7fcafc0bcf5a8e4d71778715f21db60a879"
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_orbit_images_cover_every_partition_once(n):
     images = [
