@@ -34,7 +34,8 @@ convolution itself, and Pascal's rule turns each entry into one
 addition.  While the rows churn, each finished B_n waits as bytes in
 one buffer, so the peak memory is that of two rows (see
 ``build_bell_binomial``).  The Stirling triangle is streamed row by row
-by ``stirling_rows``, so a check that needs only row sums holds one row.
+by ``stirling_rows``, one recurrence step under ``accumulate``, so a
+check that needs only row sums holds one row.
 """
 
 from __future__ import annotations
@@ -79,21 +80,18 @@ def build_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
 
 def stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
     """Yield the Stirling rows ({n brace 0}, ..., {n brace n}) for
-    n = 0..n_max via {n+1 brace k} = {n brace k-1} + k * {n brace k},
-    holding only the current row.  ``n_max`` is checked at the call, not
-    at the first ``next()``."""
+    n = 0..n_max: ``_stirling_step`` run under ``accumulate``, holding
+    only the current row.  ``accumulate`` is lazy, so ``n_max`` is
+    checked at the call and no row is built before the first ``next()``."""
     _check_ints(n_max=n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _stirling_rows(n_max)
+    return accumulate(range(n_max), _stirling_step, initial=(1,))
 
 
-def _stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
-    row: tuple[int, ...] = (1,)
-    yield row
-    for n in range(n_max):
-        row = (0, *map(add, row, map(mul, range(1, n + 1), row[1:])), row[n])
-        yield row
+def _stirling_step(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row n+1 from row n: {n+1 brace k} = {n brace k-1} + k * {n brace k}."""
+    return (0, *map(add, row, map(mul, range(1, n + 1), row[1:])), row[n])
 
 
 def build_stirling(n_max: int) -> tuple[tuple[int, ...], ...]:

@@ -11,8 +11,7 @@ Everything mod-p in one place:
 * a lazy stream of B_n mod p from the m = 1 case,
   B_{n+p} = B_n + B_{n+1} (mod p), which seeds itself with B_0..B_{p-1}
   from Aitken's Bell triangle reduced mod p as it is built; it keeps
-  only the last p residues plus one refill block, so its memory is O(p)
-  however far it runs.
+  only the last p residues, so its memory is O(p) however far it runs.
 
 Residue arithmetic is word-sized: exact big integers are reduced once at
 the boundary, and p is bounded so p*p fits a machine word.  Primality of
@@ -25,6 +24,7 @@ once in ``__init__``; equality, hashing and ``repr`` go by their fields.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from itertools import accumulate
 from math import comb
@@ -44,9 +44,6 @@ __all__ = [
 
 # p*p must fit in a signed 64-bit word
 _MAX_PRIME = 3_037_000_499
-
-# residues the stream computes per refill; its buffer holds p + _REFILL
-_REFILL = 4096
 
 
 class _Frozen:
@@ -205,8 +202,8 @@ def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:
     the seed window is one addition per residue, so the stream extends
     to large n_max at trivial cost.  The arguments are checked when the
     function is called, before any residue is asked for.  The stream is
-    lazy: it holds the last p residues plus one block of ``_REFILL`` new
-    ones, so its memory is O(p), not O(n_max).
+    lazy: it holds only the last p residues, so its memory is O(p), not
+    O(n_max).
 
     Nothing here bounds the seed triangle, which runs on the first
     ``next()``: near the top of the word-sized primes its O(p^2) steps
@@ -223,18 +220,13 @@ def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:
 def _residues(p: int, n_max: int) -> Iterator[int]:
     # the seeds: row n of Aitken's triangle (see exact.build_bell_binomial)
     # starts with B_n, and a row of at most p residues sums below p*p
-    buf, row = [1], [1]
+    window, row = deque([1]), [1]
     for _ in range(p - 1):
         row = [a % p for a in accumulate(row, initial=row[-1])]
-        buf.append(row[0])
-    yield from buf
-    # buf holds B_{n-p}..B_{n-1}; B_{n+i} = buf[i] + buf[i+1], where
-    # buf[i+1] past the window is a residue appended earlier in the block
-    left = n_max + 1 - p
-    while left > 0:
-        k = min(_REFILL, left)
-        for i in range(k):
-            buf.append((buf[i] + buf[i + 1]) % p)
-        yield from buf[p:]
-        del buf[:-p]
-        left -= k
+        window.append(row[0])
+    yield from window
+    # window holds B_{n-p}..B_{n-1}, and B_n = B_{n-p} + B_{n-p+1}
+    for _ in range(n_max + 1 - p):
+        r = (window.popleft() + window[0]) % p
+        window.append(r)
+        yield r

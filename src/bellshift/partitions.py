@@ -89,12 +89,8 @@ class SetPartition(_Frozen):
             raise ValueError("ground set must be nonempty")
         if not all(type(v) is int for v in rgs):
             raise TypeError(f"rgs labels must be of type int: {rgs}")
-        top = 0
-        for i, v in enumerate(rgs):
-            if v < 0 or v > top:
-                raise ValueError(f"rgs is not canonical at position {i}: {rgs}")
-            if v == top:
-                top += 1
+        if _canonical(rgs) != rgs:
+            raise ValueError(f"rgs is not canonical: {rgs}")
         super().__init__(rgs)
 
     @property

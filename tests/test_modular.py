@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+from collections import deque
 from itertools import accumulate, islice
 
 import pytest
 
-from bellshift import modular
 from bellshift import (
     PrimePower,
     bell_mod_p_stream,
@@ -230,16 +231,23 @@ def test_stream_is_lazy(p, bell_mod_oracle):
 
 
 @pytest.mark.parametrize("p", [2, 3, 13, 199])
-def test_stream_ends_at_window_and_block_edges(p, bell300, bell_mod_oracle):
+def test_stream_ends_at_window_edges(p, bell300):
     for n in (p - 1, p, p + 1):
         assert list(bell_mod_p_stream(p, n)) == [b % p for b in bell300[: n + 1]]
-    refill = modular._REFILL
-    for n in (p - 2 + refill, p - 1 + refill, p + refill):
-        assert list(bell_mod_p_stream(p, n)) == [b % p for b in bell_mod_oracle[: n + 1]]
 
 
-@pytest.mark.parametrize("refill", [1, 2, 12, 13, 14, 198, 199, 200])
-def test_stream_block_may_be_shorter_or_longer_than_p(monkeypatch, refill, bell300):
-    monkeypatch.setattr(modular, "_REFILL", refill)
-    for p in (2, 3, 13, 199):
-        assert list(bell_mod_p_stream(p, 300)) == [b % p for b in bell300]
+def _drained_peak(p: int, n_max: int) -> int:
+    tracemalloc.start()
+    try:
+        deque(bell_mod_p_stream(p, n_max), maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [13, 1009])
+def test_stream_memory_is_o_p_not_o_n(p):
+    # a hundredfold longer run must not raise the traced peak: the stream
+    # holds its last p residues (and, at first, the seed triangle's row)
+    short, long = _drained_peak(p, 10**4), _drained_peak(p, 10**6)
+    assert abs(long - short) < 4096, (short, long)

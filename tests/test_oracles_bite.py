@@ -42,17 +42,16 @@ def factor_off_at_3(real):
 
 def multiplier_off_at_2(real):
     # {n+1 brace 2} takes 3 * {n brace 2} in place of 2 * {n brace 2}
-    def rows(n_max):
-        row = (1,)
-        yield row
-        for n in range(n_max):
-            row = (0, *(row[k - 1] + (k + (k == 2)) * row[k] for k in range(1, n + 1)), row[n])
-            yield row
+    def step(row, n):
+        return (0, *(row[k - 1] + (k + (k == 2)) * row[k] for k in range(1, n + 1)), row[n])
 
-    return rows
+    return step
 
 
 def drops_initial_on_7th_call(real):
+    # bell 40 --cross-check calls accumulate 40 times for Aitken's triangle
+    # before its one call that drives the Stirling rows, so the 7th call
+    # still lands in the triangle
     calls = count(1)
 
     def accumulate(iterable, func=None, *, initial=None):
@@ -91,7 +90,7 @@ MUTANTS = [
         factor_off_at_3,
         "shift-poly 30 --check-recursive",
     ),
-    ("bellshift.exact._stirling_rows", multiplier_off_at_2, "bell 40 --cross-check"),
+    ("bellshift.exact._stirling_step", multiplier_off_at_2, "bell 40 --cross-check"),
     ("bellshift.exact.accumulate", drops_initial_on_7th_call, "bell 40 --cross-check"),
     ("bellshift.modular._residues", residue_off_at_100, "bell-mod 13 120 --cross-check"),
     ("bellshift.partitions._orbit_reps", drops_one_orbit, "orbits 2 3"),
