@@ -38,7 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 from .exact import build_bell_binomial, build_binomials, stirling_rows
 from .modular import (
@@ -92,10 +92,12 @@ def _emit(
     per format.  With ``modulus=p``, ``rows`` are the residues r_0, r_1,
     ... in [0, p) without their index, and the bytes are those of
     ``enumerate(rows)`` under the two ``fields``.  These rows are joined
-    from tables, a chunk at a time: row n = 100*k + j is the lead
-    (everything before the index, then ``str(k)``; the first chunk has
-    no ``k``), the two digits of j (unpadded in the first chunk) and the
-    rest of the line for r_n, from a p-entry table.
+    from tables through one list of three cells per row, owned by the
+    call: row n = 100*k + j is the lead (everything before the index,
+    then ``str(k)``; the first chunk has no ``k``), the two digits of j
+    (unpadded in the first chunk) and the rest of the line for r_n, from
+    a p-entry table.  A chunk fills each kind of cell with one slice
+    assignment and is written with one ``"".join``.
     """
     if fmt == "tsv":
         sys.stdout.write("#" + "\t".join(fields) + "\n")
@@ -119,11 +121,16 @@ def _emit(
         head, sep, end = line.format("\0", "\0").split("\0")
         tails = [f"{sep}{r}{end}" for r in range(modulus)]
         low, padded = [str(j) for j in range(100)], [f"{j:02d}" for j in range(100)]
+        cells = [""] * (3 * _CHUNK_ROWS)  # lead, index digits, rest of line, per row
 
         def render(chunk, start):
             lead, digits = (head + str(start // 100), padded) if start else (head, low)
-            pieces = zip(repeat(lead), digits, map(tails.__getitem__, chunk))
-            return "".join(chain.from_iterable(pieces))
+            n = len(chunk)
+            del cells[3 * n :]  # only the last chunk is short
+            cells[0::3] = [lead] * n
+            cells[1::3] = digits[:n]
+            cells[2::3] = map(tails.__getitem__, chunk)
+            return "".join(cells)
 
     count = 0
     it = iter(rows)

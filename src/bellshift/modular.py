@@ -10,8 +10,9 @@ Everything mod-p in one place:
   a range of n with every mismatch reported;
 * a lazy stream of B_n mod p from the m = 1 case,
   B_{n+p} = B_n + B_{n+1} (mod p), which seeds itself with B_0..B_{p-1}
-  from Aitken's Bell triangle reduced mod p as it is built; it keeps
-  only the last p residues, so its memory is O(p) however far it runs.
+  from Aitken's Bell triangle reduced mod p as it is built; it extends
+  a list of the last p residues a chunk at a time in C-level loops, so
+  its memory is O(p) however far it runs.
 
 Residue arithmetic is word-sized: exact big integers are reduced once at
 the boundary, and p is bounded so p*p fits a machine word.  Primality of
@@ -24,10 +25,10 @@ once in ``__init__``; equality, hashing and ``repr`` go by their fields.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from math import comb
+from operator import add
 
 from .exact import _check_deep, _check_ints
 
@@ -202,7 +203,8 @@ def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:
     the seed window is one addition per residue, so the stream extends
     to large n_max at trivial cost.  The arguments are checked when the
     function is called, before any residue is asked for.  The stream is
-    lazy: it holds only the last p residues, so its memory is O(p), not
+    lazy: it computes ``_CHUNK`` = 256 residues at a time and holds only
+    the last p residues plus one chunk, so its memory is O(p), not
     O(n_max).
 
     Nothing here bounds the seed triangle, which runs on the first
@@ -217,16 +219,39 @@ def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:
     return _residues(p, n_max)
 
 
+# residues per chunk: enough that the chunk step's C loops carry the run,
+# few enough that the window plus one chunk stays small
+_CHUNK = 256
+
+
 def _residues(p: int, n_max: int) -> Iterator[int]:
+    return chain.from_iterable(_chunks(p, n_max))
+
+
+def _chunks(p: int, n_max: int) -> Iterator[list[int]]:
     # the seeds: row n of Aitken's triangle (see exact.build_bell_binomial)
     # starts with B_n, and a row of at most p residues sums below p*p
-    window, row = deque([1]), [1]
+    window, row = [1], [1]
     for _ in range(p - 1):
         row = [a % p for a in accumulate(row, initial=row[-1])]
         window.append(row[0])
-    yield from window
-    # window holds B_{n-p}..B_{n-1}, and B_n = B_{n-p} + B_{n-p+1}
-    for _ in range(n_max + 1 - p):
-        r = (window.popleft() + window[0]) % p
-        window.append(r)
-        yield r
+    yield window[:]  # a copy, since the window moves on
+    mod = list(range(p)) * 2  # mod[a + b] == (a + b) % p for residues a, b
+    for left in range(n_max + 1 - p, 0, -_CHUNK):
+        yield _extend(window, mod, min(left, _CHUNK))
+
+
+def _extend(window: list[int], mod: list[int], take: int) -> list[int]:
+    """Advance ``window``, the last p residues B_{n-p}..B_{n-1}, by ``take``
+    residues and return them, B_n..B_{n+take-1}."""
+    p = len(window)
+    # the i-th new residue B_m = B_{m-p} + B_{m-p+1} is window[i] +
+    # window[i + 1].  A list iterator reads by index, so the two iterators
+    # see what extend appends: each new B_m is read back p - 1 steps later.
+    ahead = iter(window)
+    next(ahead)
+    pairs = map(add, iter(window), ahead)
+    window.extend(islice(map(mod.__getitem__, pairs), take))
+    new = window[p:]
+    del window[:take]
+    return new

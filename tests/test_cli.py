@@ -111,16 +111,28 @@ def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
 
 @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
 @pytest.mark.parametrize("p", [2, 13, 199, 1009])
-@pytest.mark.parametrize("count", [0, 1, 99, 100, 101, 1000, 10_001])
+@pytest.mark.parametrize("count", [0, 1, 99, 100, 101, 150, 1000, 10_001, 10_050])
 def test_emit_residue_form_matches_enumerated_rows(capsys, fmt, p, count):
-    # 99..101 cross the first chunk's unpadded table; the rest reach
-    # every index width up to five digits
+    # 99..101 cross the first chunk's unpadded table; 150 and 10_050 end a
+    # later chunk half full; the rest reach every index width up to five
+    # digits
     fields = ("n", "residue")
     residues = list(islice(bell_mod_p_stream(p, max(count, p - 1)), count))
     parent_emit(fields, enumerate(residues), fmt)
     expected = capsys.readouterr().out
     assert cli._emit(fields, residues, fmt, modulus=p) == count
     assert capsys.readouterr().out == expected
+
+
+def test_emit_residue_form_calls_share_no_buffer(capsys):
+    # the first call's short last chunk must not cut the second call's rows
+    fields = ("n", "residue")
+    for p, count, fmt in ((13, 150, "tsv"), (199, 10_050, "json-lines"), (2, 301, "tsv")):
+        residues = list(islice(bell_mod_p_stream(p, max(count, p - 1)), count))
+        parent_emit(fields, enumerate(residues), fmt)
+        expected = capsys.readouterr().out
+        assert cli._emit(fields, residues, fmt, modulus=p) == count
+        assert capsys.readouterr().out == expected
 
 
 def test_cli_writes_stdout_only_through_emit():

@@ -14,6 +14,7 @@ from bellshift import (
     build_bell_binomial,
     eval_poly,
     is_prime,
+    modular,
     reduce_shift_poly,
     shift_poly_closed,
     touchard_check,
@@ -234,6 +235,27 @@ def test_stream_is_lazy(p, bell_mod_oracle):
 def test_stream_ends_at_window_edges(p, bell300):
     for n in (p - 1, p, p + 1):
         assert list(bell_mod_p_stream(p, n)) == [b % p for b in bell300[: n + 1]]
+
+
+# each prime's chunk edges k chunks past the seed window, k = 1, 2;
+# 1009 is longer than a chunk
+_CHUNK_EDGES = [
+    (p, p - 1 + k * modular._CHUNK + d)
+    for p in (2, 13, 199, 1009)
+    for k in (1, 2)
+    for d in (-1, 0, 1)
+]
+
+
+@pytest.fixture(scope="module")
+def bell_past_chunks():
+    return build_bell_binomial(max(n for _, n in _CHUNK_EDGES))
+
+
+@pytest.mark.parametrize("p, n_max", _CHUNK_EDGES)
+def test_stream_ends_at_chunk_edges(p, n_max, bell_past_chunks):
+    expected = [b % p for b in bell_past_chunks[: n_max + 1]]
+    assert list(bell_mod_p_stream(p, n_max)) == expected
 
 
 def _drained_peak(p: int, n_max: int) -> int:

@@ -10,7 +10,8 @@ the same way against its slow oracle in the tests."""
 from __future__ import annotations
 
 import importlib
-from itertools import count
+from itertools import count, islice
+from operator import add
 
 import pytest
 
@@ -70,6 +71,31 @@ def residue_off_at_100(real):
     return residues
 
 
+def pair_table_off_at_p(real):
+    # the doubled residue table reads a + b == p as 1, not 0
+    def extend(window, mod, take):
+        p = len(window)
+        return real(window, [*mod[:p], 1, *mod[p + 1 :]], take)
+
+    return extend
+
+
+def trims_one_short(real):
+    # each chunk leaves one residue too many in the window, so the next
+    # chunk adds pairs one step too far back
+    def extend(window, mod, take):
+        p = len(window)
+        ahead = iter(window)
+        next(ahead)
+        pairs = map(add, iter(window), ahead)
+        window.extend(islice(map(mod.__getitem__, pairs), take))
+        new = window[p:]
+        del window[: take - 1]
+        return new
+
+    return extend
+
+
 def drops_one_orbit(real):
     # loses the first orbit of size > 1; the fixed count and residue hold
     def reps(n):
@@ -93,6 +119,9 @@ MUTANTS = [
     ("bellshift.exact._stirling_step", multiplier_off_at_2, "bell 40 --cross-check"),
     ("bellshift.exact.accumulate", drops_initial_on_7th_call, "bell 40 --cross-check"),
     ("bellshift.modular._residues", residue_off_at_100, "bell-mod 13 120 --cross-check"),
+    # 588 residues past the seeds: two full chunks and part of a third
+    ("bellshift.modular._extend", pair_table_off_at_p, "bell-mod 13 600 --cross-check --depth 600"),
+    ("bellshift.modular._extend", trims_one_short, "bell-mod 13 600 --cross-check --depth 600"),
     ("bellshift.partitions._orbit_reps", drops_one_orbit, "orbits 2 3"),
 ]
 

@@ -139,6 +139,23 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def test_every_imported_name_is_used_in_its_module():
+    # a swap of one helper for another leaves no stale import behind
+    found = []
+    for path in sorted(Path(bellshift.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in bound if n not in used | {"*"}]
+    assert found == []
+
+
 # ------------------------------------------------------------------ start-up
 
 # what ``dataclasses`` pulls in, and ``json``, which only json-lines output needs
