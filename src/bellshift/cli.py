@@ -177,8 +177,8 @@ def cmd_bell(ns: argparse.Namespace) -> str | None:
     _need_depth(ns, ns.n_max, f"bell {ns.n_max}")
     table = build_bell_binomial(ns.n_max)
     if ns.cross_check:
-        for n, row in enumerate(stirling_rows(ns.n_max)):
-            other = sum(row)
+        # a row is summed as it is yielded, so no name holds it while the next is built
+        for n, other in enumerate(map(sum, stirling_rows(ns.n_max))):
             if other != table[n]:
                 return f"recurrences disagree at n={n}: {table[n]} != {other}"
     _emit(("n", "bell"), enumerate(table), ns.format, frozenset({"bell"}))
@@ -187,7 +187,8 @@ def cmd_bell(ns: argparse.Namespace) -> str | None:
 
 def cmd_stirling(ns: argparse.Namespace) -> None:
     _need_depth(ns, ns.n_max, f"stirling {ns.n_max}")
-    rows = enumerate(stirling_rows(ns.n_max))  # one row held at a time
+    # the row being written stays bound to ``row`` while the next is built
+    rows = enumerate(stirling_rows(ns.n_max))
     _emit(
         ("n", "k", "value"),
         ((n, k, value) for n, row in rows for k, value in enumerate(row)),

@@ -31,17 +31,21 @@ The Bell table evaluates the binomial convolution without a single
 multiplication: Aitken's Bell triangle (OEIS A011971) has entries
 A(n, k) = sum_i C(k, i) * B_{n-k+i}, so its diagonal A(n, n) is the
 convolution itself, and Pascal's rule turns each entry into one
-addition.  While the rows churn, each finished B_n waits as bytes in
-one buffer, so the peak memory is that of two rows (see
-``build_bell_binomial``).  The Stirling triangle is streamed row by row
-by ``stirling_rows``, one recurrence step under ``accumulate``, so a
-check that needs only row sums holds one row.
+addition.  Each new row is built from the row above as that row is
+popped, so one row is live, and each finished B_n waits as bytes in one
+buffer: building the table raises a fresh process's peak RSS by 2.1 MB
+at n = 1000 and 6.7 MB at n = 2000 (see ``build_bell_binomial``).  The
+Stirling triangle is streamed row by row by ``stirling_rows``, one
+recurrence step under ``accumulate`` that pops the row it reads in the
+same way, so a check that needs only row sums holds one row: 1.3 MB at
+n = 1000 and 3.3 MB at n = 2000.  The two kernels call no common helper
+but the integer rule, so each stays an independent check on the other.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from operator import add, mul
 
 __all__ = [
@@ -80,18 +84,37 @@ def build_binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
 
 def stirling_rows(n_max: int) -> Iterator[tuple[int, ...]]:
     """Yield the Stirling rows ({n brace 0}, ..., {n brace n}) for
-    n = 0..n_max: ``_stirling_step`` run under ``accumulate``, holding
-    only the current row.  ``accumulate`` is lazy, so ``n_max`` is
-    checked at the call and no row is built before the first ``next()``."""
+    n = 0..n_max: ``_stirling_step`` run under ``accumulate`` on a list
+    that each step consumes, and each row yielded as a tuple copy.
+    ``accumulate`` is lazy, so ``n_max`` is checked at the call and no
+    row is built before the first ``next()``.
+
+    A caller that drops each row before asking for the next, as
+    ``map(sum, stirling_rows(n))`` does, holds one row: summing every row
+    raises a fresh process's peak RSS by 1.3 MB at n_max = 1000 and
+    3.3 MB at n_max = 2000 on CPython 3.11, against 1.6 and 5.6 MB when
+    the old row stayed alive while the new one was built."""
     _check_ints(n_max=n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return accumulate(range(n_max), _stirling_step, initial=(1,))
+    return map(tuple, accumulate(range(n_max), _stirling_step, initial=[1]))
 
 
-def _stirling_step(row: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Row n+1 from row n: {n+1 brace k} = {n brace k-1} + k * {n brace k}."""
-    return (0, *map(add, row, map(mul, range(1, n + 1), row[1:])), row[n])
+def _stirling_step(row: list[int], n: int) -> list[int]:
+    """Row n+1 from row n: {n+1 brace k} = {n brace k-1} + k * {n brace k}.
+
+    ``row`` is consumed: a 0 is appended for {n brace n+1}, the list is
+    reversed, and its entries are popped from its end in order, so each
+    {n brace k} is freed once both new entries that read it are built.
+    The one-step lag comes from a reverse iterator over the same list:
+    it reads by index, so once it is one step ahead, it reads
+    {n brace k} from the new end just after ``map`` has popped
+    {n brace k-1} (``map`` pulls from its iterables left to right)."""
+    row.append(0)
+    row.reverse()
+    ahead = reversed(row)
+    next(ahead)  # {n brace 0}
+    return [0, *map(add, map(row.pop, repeat(-1, n + 2)), map(mul, count(1), ahead))]
 
 
 def build_stirling(n_max: int) -> tuple[tuple[int, ...], ...]:
@@ -110,12 +133,16 @@ def build_bell_binomial(n_max: int) -> tuple[int, ...]:
     the convolution, so A(n, n) = B_{n+1} starts row n+1.  That is
     O(n_max^2) big-integer additions and no multiplications.
 
-    Besides the current row, the loop keeps each B_n as its little-endian
-    bytes in one ``bytearray``, plus the end offset of each.  Keeping the
-    ints themselves would leave one small object per row in the
-    allocator pools that each freed row empties, and those pinned pools
-    raise the peak RSS: by 7.9 MB instead of 3.1 MB at n_max = 1000 on
-    CPython 3.11.
+    One row is live: the row above is reversed and popped from its end
+    into ``accumulate``, so each of its entries is freed once it is
+    added in.  Besides that row, the loop keeps each B_n as its
+    little-endian bytes in one ``bytearray``, plus the end offset of
+    each.  Keeping the ints themselves would leave one small object per
+    row in the allocator pools that each freed row empties, and those
+    pinned pools raise the peak RSS.  A fresh process's peak RSS rises by
+    2.1 MB at n_max = 1000 and 6.7 MB at n_max = 2000 on CPython 3.11;
+    with the old row kept until the new one was done it rose by 3.2 and
+    10.4 MB, and with an int kept per row by 7.9 MB at n_max = 1000.
     The ints are rebuilt from the buffer once the last row is dropped.
     """
     _check_ints(n_max=n_max)
@@ -125,7 +152,8 @@ def build_bell_binomial(n_max: int) -> tuple[int, ...]:
     ends = [0, 1]
     row = [1]  # triangle row 0: A(0, 0) = B_0
     for _ in range(n_max):
-        row = list(accumulate(row, initial=row[-1]))
+        row.reverse()
+        row = list(accumulate(map(row.pop, repeat(-1, len(row))), initial=row[0]))
         buf += row[0].to_bytes((row[0].bit_length() + 7) // 8, "little")
         ends.append(len(buf))
     del row

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bellshift import CongruenceReport, bell_mod_p_stream
 from bellshift import cli
 
-from conftest import BELL_SMALL, child_env
+from conftest import BELL_SMALL, child_env, child_peak_growth_mb
 from test_partitions import seen_set_orbit_decomposition
 
 
@@ -434,6 +434,18 @@ def test_orbits_memory_does_not_grow_with_the_orbit_count():
     assert peak < 2 * 2**20
 
 
+def test_bell_cross_check_holds_one_row_per_triangle():
+    # both triangles pop the row they read, and the cross-check sums each
+    # Stirling row as it is yielded: +2.3 MB at n = 1000, against +3.4 MB
+    # while each kept its old row alive until the new one was built
+    growth = child_peak_growth_mb(
+        "with open(os.devnull, 'w') as out, redirect_stdout(out):\n"
+        "    assert main(['bell', '1000', '--cross-check', '--depth', '1000']) == 0",
+        setup="import os\nfrom contextlib import redirect_stdout\nfrom bellshift.cli import main",
+    )
+    assert growth < 2.9
+
+
 def test_orbits_over_cap_is_usage_error():
     res = run_cli("orbits", "11", "1", "--cap", "8")
     assert res.returncode == 2
@@ -721,6 +733,8 @@ RECORDED_DIGESTS = {
     ("bell 30 --cross-check", "json-lines"): "04f1324c9e613cbef79cc1a7186e4ce13c5b6fb91a10ae0f48c916c28c5a7d52",
     ("stirling 12", "tsv"): "4094efdf599aef7fc55d43c96227e42214ee933c755200c8033925bf14013c13",
     ("stirling 12", "json-lines"): "c2cea6f083348c8c370f41d38c5ca4aeebb06eb90ecdff939dd1ba574d70b5f1",
+    ("stirling 300 --depth 300", "tsv"): "913237fd7a2455d6913dff69ba1a41a31c7db2856d6bac08a35c0e66a2d02df9",
+    ("stirling 300 --depth 300", "json-lines"): "a8243517faebc349dc851ed663b4f753c47fbf58cb5bdd4e7c43bc6093fa29dd",
     ("shift-poly 10 --check-recursive", "tsv"): "0a03547a4500b6d5b282e24da5c2eeacda1632100b5bb530f9574ea08fdf2bee",
     ("shift-poly 10 --check-recursive", "json-lines"): "bbae2e2083d4b0512adb63d500a3c2b5c0f871a29cb74ceffe3c1ab0dd4842da",
     ("shift-poly 250 --check-recursive --depth 250", "tsv"): "c5513134eca1ec72c454b2aaaf92a3db8178480820fc2a94bf6eadccf602ddb0",

@@ -10,6 +10,7 @@ the same way against its slow oracle in the tests."""
 from __future__ import annotations
 
 import importlib
+import inspect
 from itertools import count, islice
 from operator import add
 
@@ -41,12 +42,40 @@ def factor_off_at_3(real):
     return to_monomial
 
 
+def edited(real, old, new):
+    # the real kernel recompiled from its own source with one fragment
+    # replaced, so the mutant follows any later edit to the kernel
+    source = inspect.getsource(real)
+    assert source.count(old) == 1, old
+    scope = {}
+    exec(source.replace(old, new), real.__globals__, scope)
+    return scope[real.__name__]
+
+
 def multiplier_off_at_2(real):
-    # {n+1 brace 2} takes 3 * {n brace 2} in place of 2 * {n brace 2}
+    # {n+1 brace 2} takes 3 * {n brace 2} in place of 2 * {n brace 2}; the
+    # step consumes its row, so the extra term is read first
     def step(row, n):
-        return (0, *(row[k - 1] + (k + (k == 2)) * row[k] for k in range(1, n + 1)), row[n])
+        if n < 2:
+            return real(row, n)
+        extra = row[2]
+        new = real(row, n)
+        new[2] += extra
+        return new
 
     return step
+
+
+def lag_dropped(real):
+    # the reverse iterator is not moved one step ahead, so after the first
+    # pop it points past the end and stops: row n+1 comes out as (0,)
+    return edited(real, "next(ahead)", "pass")
+
+
+def aitken_row_unreversed(real):
+    # the row above is popped without being reversed, so it is read back
+    # to front and the new row starts from A(n-1, 0) in place of B_n
+    return edited(real, "row.reverse()", "pass")
 
 
 def drops_initial_on_7th_call(real):
@@ -117,6 +146,9 @@ MUTANTS = [
         "shift-poly 30 --check-recursive",
     ),
     ("bellshift.exact._stirling_step", multiplier_off_at_2, "bell 40 --cross-check"),
+    ("bellshift.exact._stirling_step", lag_dropped, "bell 40 --cross-check"),
+    # cli holds its own reference to the Bell builder
+    ("bellshift.cli.build_bell_binomial", aitken_row_unreversed, "bell 40 --cross-check"),
     ("bellshift.exact.accumulate", drops_initial_on_7th_call, "bell 40 --cross-check"),
     ("bellshift.modular._residues", residue_off_at_100, "bell-mod 13 120 --cross-check"),
     # 588 residues past the seeds: two full chunks and part of a third

@@ -139,6 +139,26 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def test_the_two_bell_recurrences_share_no_private_code():
+    # Aitken's triangle and the Stirling rows cross-check each other, so
+    # neither may reach a private function of exact that the other reaches,
+    # say a shared helper for popping a row; the integer rule is exempt
+    tree = ast.parse(Path(exact.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            for node in ast.walk(defs[todo.pop()]):
+                if isinstance(node, ast.Name) and node.id in defs and node.id not in seen:
+                    seen.add(node.id)
+                    todo.append(node.id)
+        return {n for n in seen if n.startswith("_")}
+
+    assert "_stirling_step" in reached("stirling_rows")
+    assert reached("build_bell_binomial") & reached("stirling_rows") == {"_check_ints"}
+
+
 def test_every_imported_name_is_used_in_its_module():
     # a swap of one helper for another leaves no stale import behind
     found = []
