@@ -224,19 +224,19 @@ def cmd_verify(ns: argparse.Namespace) -> str | None:
     q = _power(pp, ns.depth, f"{what}: {pp.p}^{pp.m} is above the configured depth")
     _need_depth(ns, ns.n_hi + q, what)
     bell = build_bell_binomial(ns.n_hi + q)
-    report = touchard_check(pp, ns.n_lo, ns.n_hi, bell)
+    bad = touchard_check(pp, ns.n_lo, ns.n_hi, bell)
     predicted = bell_prime_power_residue(pp)
     actual = reduce_shift_poly(pp, bell)
     rows = [
         ("p", pp.p),
         ("m", pp.m),
         ("prime_power", pp.value),
-        ("n_lo", report.n_lo),
-        ("n_hi", report.n_hi),
-        ("checked", report.checked),
-        ("counterexample_count", len(report.counterexamples)),
+        ("n_lo", ns.n_lo),
+        ("n_hi", ns.n_hi),
+        ("checked", ns.n_hi - ns.n_lo + 1),
+        ("counterexample_count", len(bad)),
     ]
-    found = [f"n={n} lhs={lhs} rhs={rhs}" for n, lhs, rhs in report.counterexamples]
+    found = [f"n={n} lhs={lhs} rhs={rhs}" for n, lhs, rhs in bad]
     rows.extend(("counterexample", text) for text in found)
     rows.extend([("predicted_residue", predicted), ("actual_residue", actual)])
     failure = None

@@ -19,8 +19,8 @@ the boundary, and p is bounded so p*p fits a machine word.  Primality of
 p is checked by trial division at PrimePower construction, since a
 composite p would silently invalidate every congruence downstream.
 
-``PrimePower`` and ``CongruenceReport`` are frozen value classes, checked
-once in ``__init__``; equality, hashing and ``repr`` go by their fields.
+``PrimePower`` is a frozen value class, checked once in ``__init__``;
+equality, hashing and ``repr`` go by its fields.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .exact import _check_deep, _check_ints
 
 __all__ = [
     "PrimePower",
-    "CongruenceReport",
     "is_prime",
     "reduce_shift_poly",
     "binomial_vanishing_check",
@@ -120,25 +119,6 @@ class PrimePower(_Frozen):
         return self.p**self.m
 
 
-class CongruenceReport(_Frozen):
-    """Outcome of sweeping a congruence over n in [n_lo, n_hi].
-
-    Each counterexample is (n, lhs residue, rhs residue); the list is
-    expected to stay empty.
-    """
-
-    __slots__ = ("n_lo", "n_hi", "counterexamples")
-
-    def __init__(
-        self, n_lo: int, n_hi: int, counterexamples: tuple[tuple[int, int, int], ...]
-    ) -> None:
-        super().__init__(n_lo, n_hi, counterexamples)
-
-    @property
-    def checked(self) -> int:
-        return self.n_hi - self.n_lo + 1
-
-
 def reduce_shift_poly(pp: PrimePower, bell: tuple[int, ...]) -> int:
     """Collapse P_{p^m} mod p to its two surviving terms and return the
     constant, the residue of B_{p^m}; the k-coefficient is 1.
@@ -177,8 +157,12 @@ def bell_prime_power_residue(pp: PrimePower) -> int:
 
 def touchard_check(
     pp: PrimePower, n_lo: int, n_hi: int, bell: tuple[int, ...]
-) -> CongruenceReport:
-    """Sweep B_{n+p^m} = m*B_n + B_{n+1} (mod p) over n in [n_lo, n_hi]."""
+) -> tuple[tuple[int, int, int], ...]:
+    """Sweep B_{n+p^m} = m*B_n + B_{n+1} (mod p) over n in [n_lo, n_hi].
+
+    Return the counterexamples as (n, lhs residue, rhs residue) triples in
+    order of n; the tuple is empty when the congruence holds.
+    """
     _check_ints(n_lo=n_lo, n_hi=n_hi)
     if n_lo < 1:
         raise ValueError("n_lo must be >= 1")
@@ -192,7 +176,7 @@ def touchard_check(
         rhs = (m * bell[n] + bell[n + 1]) % p
         if lhs != rhs:
             bad.append((n, lhs, rhs))
-    return CongruenceReport(n_lo, n_hi, tuple(bad))
+    return tuple(bad)
 
 
 def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:

@@ -142,9 +142,7 @@ def test_criterion_6_touchard_sweep(capsys):
         bell = build_bell_binomial(269)
         for p in (2, 3, 5, 7, 11, 13):
             for m in (1, 2):
-                report = touchard_check(PrimePower(p, m), 1, 100, bell)
-                assert report.checked == 100
-                assert report.counterexamples == ()
+                assert touchard_check(PrimePower(p, m), 1, 100, bell) == ()
 
     run_criterion(capsys, 6, "touchard-sweep", 60.0, body)
 

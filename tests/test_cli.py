@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellshift import CongruenceReport, bell_mod_p_stream
+from bellshift import bell_mod_p_stream
 from bellshift import cli
 
 from conftest import BELL_SMALL, child_env, child_peak_growth_mb
@@ -762,6 +762,9 @@ RECORDED_DIGESTS = {
     ("bell 1000 --cross-check --depth 1000", "json-lines"): "4f125fb703424261d81eab41c35bfe40a90f7c0971f12358dde15d2d20347924",
     ("verify 7 2 --n-hi 600 --depth 649", "tsv"): "91ec2e6def182bf70b4519952954086235b39f5dc6aae229c18af4a2278444ab",
     ("verify 7 2 --n-hi 600 --depth 649", "json-lines"): "0634eee27d17dba010c58ecf31943fcefc04ad30b66b200c95c679a8a16ff845",
+    # a range that starts past 1, so n_lo, n_hi and checked all differ
+    ("verify 5 2 --n-lo 17 --n-hi 40", "tsv"): "a285544b034f60893d911ea1a6142c327fedccb744d55313a421eb9146609420",
+    ("verify 5 2 --n-lo 17 --n-hi 40", "json-lines"): "b1e6ea6b02b21d8ed85d956988abf351f396c0ab70cfb2433d7f78e9552bb920",
 }
 
 
@@ -787,7 +790,7 @@ def test_deep_bell_prints_without_digit_guard_failure():
 
 def test_forced_touchard_counterexample_exits_one(monkeypatch):
     def fake(pp, n_lo, n_hi, bell):
-        return CongruenceReport(n_lo, n_hi, ((4, 1, 0),))
+        return ((4, 1, 0),)
 
     monkeypatch.setattr(cli, "touchard_check", fake)
     res = run_cli("verify", "2", "1")

@@ -144,12 +144,19 @@ def test_divisibility_is_special_to_prime_powers(binom300):
 
 
 def test_touchard_examples(bell300):
-    rep = touchard_check(PrimePower(2, 1), 1, 1, bell300)
-    assert rep.counterexamples == () and rep.checked == 1
-    rep = touchard_check(PrimePower(3, 1), 2, 2, bell300)
-    assert rep.counterexamples == ()
-    rep = touchard_check(PrimePower(7, 2), 1, 100, bell300)
-    assert rep.counterexamples == () and rep.checked == 100
+    assert touchard_check(PrimePower(2, 1), 1, 1, bell300) == ()
+    assert touchard_check(PrimePower(3, 1), 2, 2, bell300) == ()
+    assert touchard_check(PrimePower(7, 2), 1, 100, bell300) == ()
+
+
+def test_touchard_returns_each_counterexample_in_order_of_n():
+    # the sweep reads B_10 as B_{n+3} at n = 7, as B_{n+1} at n = 9 and as
+    # B_n at n = 10, so raising it by 1 moves one residue at each
+    table = list(build_bell_binomial(40))
+    table[10] += 1
+    bad = touchard_check(PrimePower(3, 1), 1, 20, tuple(table))
+    assert type(bad) is tuple
+    assert bad == ((7, 2, 1), (9, 1, 2), (10, 1, 2))
 
 
 def test_touchard_validation(bell300):
@@ -168,7 +175,7 @@ def test_touchard_validation(bell300):
     "n_lo, n_hi, name", [(True, 3, "n_lo"), (1.0, 3, "n_lo"), (1, 3.0, "n_hi"), (1, True, "n_hi")]
 )
 def test_touchard_check_takes_only_int_bounds(bell300, n_lo, n_hi, name):
-    # a bool passes every range check and would land in the report
+    # a bool passes every range check and would land in a counterexample
     with pytest.raises(TypeError, match=f"{name} must be of type int"):
         touchard_check(PrimePower(2, 1), n_lo, n_hi, bell300)
 

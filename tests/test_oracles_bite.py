@@ -92,6 +92,21 @@ def drops_initial_on_7th_call(real):
     return accumulate
 
 
+def bell_off_at_50(real):
+    # one Bell number off by one, as a slip in any builder would leave it
+    def build(n_max):
+        table = list(real(n_max))
+        table[50] += 1
+        return tuple(table)
+
+    return build
+
+
+def multiplier_off(real):
+    # the congruence read as B_{n+p^m} = (m+1)*B_n + B_{n+1}
+    return edited(real, "m * bell[n]", "(m + 1) * bell[n]")
+
+
 def residue_off_at_100(real):
     def residues(p, n_max):
         for n, r in enumerate(real(p, n_max)):
@@ -150,6 +165,10 @@ MUTANTS = [
     # cli holds its own reference to the Bell builder
     ("bellshift.cli.build_bell_binomial", aitken_row_unreversed, "bell 40 --cross-check"),
     ("bellshift.exact.accumulate", drops_initial_on_7th_call, "bell 40 --cross-check"),
+    # caught at n = 47, where B_50 is B_{n+3}
+    ("bellshift.cli.build_bell_binomial", bell_off_at_50, "verify 3 1"),
+    # caught at n = 1: 3*B_1 + B_2 = 5 = 2 but B_10 = 115975 = 1 (mod 3)
+    ("bellshift.cli.touchard_check", multiplier_off, "verify 3 2"),
     ("bellshift.modular._residues", residue_off_at_100, "bell-mod 13 120 --cross-check"),
     # 588 residues past the seeds: two full chunks and part of a third
     ("bellshift.modular._extend", pair_table_off_at_p, "bell-mod 13 600 --cross-check --depth 600"),

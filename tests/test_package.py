@@ -14,7 +14,6 @@ import pytest
 
 import bellshift
 from bellshift import (
-    CongruenceReport,
     PrimePower,
     SetPartition,
     apply_shift,
@@ -68,7 +67,6 @@ def test_package_order_is_each_layers_names_sorted():
         "eval_poly",
         "shift_poly_closed",
         "shift_poly_recursive",
-        "CongruenceReport",
         "PrimePower",
         "bell_mod_p_stream",
         "bell_prime_power_residue",
@@ -205,11 +203,6 @@ def test_start_up_imports_neither_dataclasses_nor_json():
 
 VALUES = [
     (PrimePower(2, 3), "PrimePower(p=2, m=3)", {"p": 2, "m": 3}),
-    (
-        CongruenceReport(1, 5, ()),
-        "CongruenceReport(n_lo=1, n_hi=5, counterexamples=())",
-        {"n_lo": 1, "n_hi": 5, "counterexamples": ()},
-    ),
     (SetPartition((0, 1, 0)), "SetPartition(rgs=(0, 1, 0))", {"rgs": (0, 1, 0)}),
 ]
 
