@@ -17,9 +17,10 @@ Every subcommand accepts ``--format {tsv,json-lines}``, ``--depth`` and
 ``bell-mod``'s seed triangle and ``--cross-check`` table; ``--cap``
 alone bounds ``orbits``, whose B_n has n at most the cap.  TSV is
 tab-separated with a single ``#``-prefixed header line; JSON-lines emits
-one object per line with values that can exceed word size rendered as
-decimal strings.  Output is deterministic: the same flags always produce
-byte-identical bytes.
+one object per line, whose index columns ``n``, ``k``, ``r`` and
+``residue`` are numbers and every other value a string (B_0 is ``"1"``).
+Output is deterministic: the same flags always produce byte-identical
+bytes.
 
 Exit codes are load-bearing: 0 = all checks passed, 1 = a mathematical
 counterexample was found, 2 = usage or configuration error, 3 = internal
@@ -70,22 +71,16 @@ class UsageError(Exception):
 _CHUNK_ROWS = 100
 
 
-def _emit(
-    fields: tuple[str, ...],
-    rows,
-    fmt: str,
-    big: frozenset[str] = frozenset(),
-    *,
-    modulus: int | None = None,
-) -> int:
+def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None) -> int:
     """Write ``rows`` to stdout and return how many were written.
 
     This is the one writer of stdout, and each value it writes is an
     ``int`` or a ``str``.  TSV starts with a ``#``-prefixed header line
     and writes each value as ``str(v)``.  A json-lines row is byte for
-    byte ``json.dumps`` of the dict from ``fields`` to the row, with each
-    field in ``big`` replaced by its ``str()``, so a big integer becomes a
-    decimal string.  ``json`` is imported here, so a TSV run never loads it.
+    byte ``json.dumps`` of the dict from ``fields`` to the row: a ``str``
+    is a JSON string and an ``int`` a JSON number, so a caller passes a
+    big integer as its decimal ``str``.  ``json`` is imported here, so a
+    TSV run never loads it.
 
     ``rows`` may be any iterable and is consumed once, ``_CHUNK_ROWS``
     = 100 rows per write.  Rows are formatted through one line template
@@ -107,12 +102,10 @@ def _emit(
         from json.encoder import encode_basestring_ascii as quote
 
         line = "{{" + ", ".join(quote(f) + ": {}" for f in fields) + "}}\n"
-        as_str = [f in big for f in fields]
 
         def values(chunk):
             # an int goes through the template as json.dumps writes it
-            pairs = (sv for row in chunk for sv in zip(as_str, row))
-            return [quote(str(v)) if s or type(v) is str else v for s, v in pairs]
+            return [quote(v) if type(v) is str else v for row in chunk for v in row]
 
     if modulus is None:
         def render(chunk, start):
@@ -142,7 +135,7 @@ def _emit(
 
 def _report(ns: argparse.Namespace, rows: list[tuple], failure: str | None) -> str | None:
     rows.append(("status", "ok" if failure is None else "counterexample"))
-    _emit(("record", "value"), rows, ns.format, frozenset({"value"}))
+    _emit(("record", "value"), ((record, str(value)) for record, value in rows), ns.format)
     return failure
 
 
@@ -181,7 +174,7 @@ def cmd_bell(ns: argparse.Namespace) -> str | None:
         for n, other in enumerate(map(sum, stirling_rows(ns.n_max))):
             if other != table[n]:
                 return f"recurrences disagree at n={n}: {table[n]} != {other}"
-    _emit(("n", "bell"), enumerate(table), ns.format, frozenset({"bell"}))
+    _emit(("n", "bell"), enumerate(map(str, table)), ns.format)
     return None
 
 
@@ -191,9 +184,8 @@ def cmd_stirling(ns: argparse.Namespace) -> None:
     rows = enumerate(stirling_rows(ns.n_max))
     _emit(
         ("n", "k", "value"),
-        ((n, k, value) for n, row in rows for k, value in enumerate(row)),
+        ((n, k, str(value)) for n, row in rows for k, value in enumerate(row)),
         ns.format,
-        frozenset({"value"}),
     )
 
 
@@ -204,14 +196,13 @@ def cmd_shift_poly(ns: argparse.Namespace) -> str | None:
         recursive = shift_poly_recursive(ns.j)
         _emit(
             ("r", "closed", "recursive"),
-            zip(range(ns.j + 1), closed, recursive),
+            zip(range(ns.j + 1), map(str, closed), map(str, recursive)),
             ns.format,
-            frozenset({"closed", "recursive"}),
         )
         if closed != recursive:
             return f"construction paths disagree for shift {ns.j}"
     else:
-        _emit(("r", "coefficient"), enumerate(closed), ns.format, frozenset({"coefficient"}))
+        _emit(("r", "coefficient"), enumerate(map(str, closed)), ns.format)
     return None
 
 

@@ -89,10 +89,6 @@ def eval_poly(poly: tuple[int, ...], x: int) -> int:
     """Exact Horner evaluation at the integer ``x`` of the polynomial whose
     ascending coefficients are ``poly``."""
     _check_ints(x=x)
-    return _horner(poly, x)
-
-
-def _horner(poly: tuple[int, ...], x: int) -> int:
     acc = 0
     for c in reversed(poly):
         acc = acc * x + c
@@ -102,7 +98,7 @@ def _horner(poly: tuple[int, ...], x: int) -> int:
 @lru_cache(maxsize=1)
 def _values(poly: tuple[int, ...], k_max: int) -> tuple[int, ...]:
     """P(1), ..., P(k_max) for the polynomial with coefficients ``poly``."""
-    return tuple(_horner(poly, k) for k in range(1, k_max + 1))
+    return tuple(eval_poly(poly, k) for k in range(1, k_max + 1))
 
 
 def bell_shift(

@@ -71,7 +71,7 @@ def counterexample(res: subprocess.CompletedProcess) -> str:
 # ---------------------------------------------------------------- emission
 
 
-def parent_emit(fields, rows, fmt, big=frozenset()):
+def parent_emit(fields, rows, fmt):
     """One ``print`` per row and ``json.dumps`` per json-lines row: the
     byte oracle for the batched ``cli._emit``."""
     if fmt == "tsv":
@@ -80,8 +80,7 @@ def parent_emit(fields, rows, fmt, big=frozenset()):
             print("\t".join(str(v) for v in row))
     else:
         for row in rows:
-            obj = {f: str(v) if f in big else v for f, v in zip(fields, row)}
-            print(json.dumps(obj))
+            print(json.dumps(dict(zip(fields, row))))
 
 
 _AWKWARD = ['say "hi"', "back\\slash", "tab\there", "two\nlines", "caf\u00e9 \u2211 \U0001d539", ""]
@@ -92,8 +91,10 @@ def mixed_rows(count):
         small = (-1) ** i * (i % 7)
         huge = -(10 ** (20 + i)) if i % 3 else 7 ** (i + 40)
         label = _AWKWARD[i % len(_AWKWARD)]
-        other = (0, -3, 10**30, label)[i % 4]  # _emit takes ints and strs only
-        value = label if i % 4 == 1 else huge  # a big field may carry a string
+        # _emit takes ints and strs only, and writes an int as a JSON
+        # number however big: a caller passes a big value as its str
+        other = (0, -3, 10**30, label)[i % 4]
+        value = label if i % 4 == 1 else str(huge)
         yield (small, value, label, other)
 
 
@@ -102,10 +103,9 @@ def mixed_rows(count):
 @pytest.mark.parametrize("count", [0, 1, 64, 65, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
 def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
     fields = ("n", "value", "label", "other")
-    big = frozenset({"value"})
-    parent_emit(fields, mixed_rows(count), fmt, big)
+    parent_emit(fields, mixed_rows(count), fmt)
     expected = capsys.readouterr().out
-    assert cli._emit(fields, mixed_rows(count), fmt, big) == count
+    assert cli._emit(fields, mixed_rows(count), fmt) == count
     assert capsys.readouterr().out == expected
 
 
@@ -154,6 +154,18 @@ def test_cli_writes_stdout_only_through_emit():
     ]
     assert writers and set(writers) == {"_emit"}
     assert len(writers) == sum(map(writes, ast.walk(tree)))  # none outside a function
+    # each row says by its own types what json-lines quotes, so no call
+    # passes a field mask: three positional arguments, and modulus= alone
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
+    ]
+    assert calls
+    for node in calls:
+        assert len(node.args) == 3, f"line {node.lineno}: _emit takes fields, rows, fmt"
+        assert not any(isinstance(a, ast.Starred) for a in node.args), f"line {node.lineno}"
+        assert [k.arg for k in node.keywords] in ([], ["modulus"]), f"line {node.lineno}"
 
 
 def test_only_checked_calls_turn_value_error_into_usage_error():
@@ -535,12 +547,14 @@ def test_bell_mod_window_too_short_is_usage_error():
     "args",
     [
         ["bell", "8"],
+        ["stirling", "6"],
         ["shift-poly", "6"],
+        ["shift-poly", "6", "--check-recursive"],
         ["verify", "5", "1"],
         ["orbits", "2", "2"],
         ["bell-mod", "3", "30"],
     ],
-    ids=lambda a: a[0],
+    ids=lambda a: " ".join(x for x in a if not x.isdigit()),
 )
 def test_formats_round_trip_identically(args):
     tsv = run_cli(*args)
@@ -664,6 +678,10 @@ def accepted_argvs(draw):
     return [command, *map(str, args)]
 
 
+# the columns whose json-lines values are numbers; every other is a string
+INDEX_COLUMNS = {"n", "k", "r", "residue"}
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=accepted_argvs())
 def test_every_accepted_argv_exits_ok_or_usage(argv):
@@ -679,7 +697,11 @@ def test_every_accepted_argv_exits_ok_or_usage(argv):
         header, rows = parse_tsv(out)
         assert all(len(row) == len(header) for row in rows)
     else:
-        assert out and all(isinstance(obj, dict) for obj in parse_jsonl(out))
+        objs = parse_jsonl(out)
+        assert objs and all(isinstance(obj, dict) for obj in objs)
+        for obj in objs:
+            for field, value in obj.items():
+                assert type(value) is (int if field in INDEX_COLUMNS else str), (argv, field)
 
 
 def test_huge_depth_is_only_a_bound():
@@ -765,6 +787,9 @@ RECORDED_DIGESTS = {
     # a range that starts past 1, so n_lo, n_hi and checked all differ
     ("verify 5 2 --n-lo 17 --n-hi 40", "tsv"): "a285544b034f60893d911ea1a6142c327fedccb744d55313a421eb9146609420",
     ("verify 5 2 --n-lo 17 --n-hi 40", "json-lines"): "b1e6ea6b02b21d8ed85d956988abf351f396c0ab70cfb2433d7f78e9552bb920",
+    # shift-poly's one emit call without --check-recursive
+    ("shift-poly 10", "tsv"): "b30b8f973a4eb8a65cc586bc113f081f0254e3d63dad345dc798debfc7469276",
+    ("shift-poly 10", "json-lines"): "9affa358986b5739d7fb57221f59fdc1c040049dfc4c961de1c47c4d2742d3de",
 }
 
 
