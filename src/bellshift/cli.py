@@ -39,12 +39,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
 
 from .exact import build_bell_binomial, build_binomials, stirling_rows
 from .modular import (
     PrimePower,
-    bell_mod_p_stream,
+    _residue_blocks,
     bell_prime_power_residue,
     reduce_shift_poly,
     touchard_check,
@@ -66,9 +66,12 @@ class UsageError(Exception):
 
 
 # rows per write: enough to batch short rows, few enough that wide rows (a
-# Bell number runs to thousands of digits) barely raise the peak memory;
-# the residue form's two-digit tables need exactly 100
+# Bell number runs to thousands of digits) barely raise the peak memory
 _CHUNK_ROWS = 100
+# records per write in the residue form: a power of ten, so that all but
+# the top digits of a block's indices are the same in every block
+_RECORDS = 1000
+_PAD = b"\0"
 
 
 def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None) -> int:
@@ -80,19 +83,24 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
     byte ``json.dumps`` of the dict from ``fields`` to the row: a ``str``
     is a JSON string and an ``int`` a JSON number, so a caller passes a
     big integer as its decimal ``str``.  ``json`` is imported here, so a
-    TSV run never loads it.
+    TSV run never loads it.  ``rows`` may be any iterable and is consumed
+    once, ``_CHUNK_ROWS`` = 100 rows per write, each chunk formatted
+    through one line template.
 
-    ``rows`` may be any iterable and is consumed once, ``_CHUNK_ROWS``
-    = 100 rows per write.  Rows are formatted through one line template
-    per format.  With ``modulus=p``, ``rows`` are the residues r_0, r_1,
-    ... in [0, p) without their index, and the bytes are those of
-    ``enumerate(rows)`` under the two ``fields``.  These rows are joined
-    from tables through one list of three cells per row, owned by the
-    call: row n = 100*k + j is the lead (everything before the index,
-    then ``str(k)``; the first chunk has no ``k``), the two digits of j
-    (unpadded in the first chunk) and the rest of the line for r_n, from
-    a p-entry table.  A chunk fills each kind of cell with one slice
-    assignment and is written with one ``"".join``.
+    With ``modulus=p``, ``rows`` are the residues r_0, r_1, ... in [0, p)
+    in blocks, as ``modular._residue_blocks`` yields them: memoryviews of
+    lanes of ``itemsize`` bytes.  The bytes are those of
+    ``enumerate(residues)`` under the two ``fields``, written
+    ``_RECORDS`` = 1000 rows at a time.  Each row of a write is a record
+    of one fixed width: the line template with its index and residue
+    widened to fixed-width fields, the digits of each right-aligned and
+    the rest padded with NUL bytes.  A bytearray of the block's records
+    is filled from the template, and each digit column is placed by one
+    strided slice assignment: the index's top digits are in the
+    template, its last three come from tables of 1000 (with pads in the
+    first block, so 7 is not 007), and each residue digit is
+    ``bytes.translate`` of one byte per residue through a 256-entry
+    table.  One ``replace`` drops the pads and the block is written.
     """
     if fmt == "tsv":
         sys.stdout.write("#" + "\t".join(fields) + "\n")
@@ -107,30 +115,102 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
             # an int goes through the template as json.dumps writes it
             return [quote(v) if type(v) is str else v for row in chunk for v in row]
 
-    if modulus is None:
-        def render(chunk, start):
-            return (line * len(chunk)).format(*values(chunk))
-    else:
-        head, sep, end = line.format("\0", "\0").split("\0")
-        tails = [f"{sep}{r}{end}" for r in range(modulus)]
-        low, padded = [str(j) for j in range(100)], [f"{j:02d}" for j in range(100)]
-        cells = [""] * (3 * _CHUNK_ROWS)  # lead, index digits, rest of line, per row
-
-        def render(chunk, start):
-            lead, digits = (head + str(start // 100), padded) if start else (head, low)
-            n = len(chunk)
-            del cells[3 * n :]  # only the last chunk is short
-            cells[0::3] = [lead] * n
-            cells[1::3] = digits[:n]
-            cells[2::3] = map(tails.__getitem__, chunk)
-            return "".join(cells)
-
     count = 0
-    it = iter(rows)
-    while chunk := list(islice(it, _CHUNK_ROWS)):
-        sys.stdout.write(render(chunk, count))
-        count += len(chunk)
+    if modulus is None:
+        it = iter(rows)
+        while chunk := list(islice(it, _CHUNK_ROWS)):
+            sys.stdout.write((line * len(chunk)).format(*values(chunk)))
+            count += len(chunk)
+        return count
+    records = _residue_records(line.format("\0", "\0").encode(), modulus)
+    pending = bytearray()  # lanes not yet written, fewer than one write's
+    for block in rows:
+        w = block.itemsize
+        pending += block
+        while len(pending) >= _RECORDS * w:
+            sys.stdout.write(records(pending[: _RECORDS * w], w, count))
+            del pending[: _RECORDS * w]
+            count += _RECORDS
+    if pending:
+        sys.stdout.write(records(pending, w, count))
+        count += len(pending) // w
     return count
+
+
+def _residue_records(line: bytes, p: int):
+    """The residue form's writer for modulus ``p``: ``records(lanes, w,
+    start)`` is the text of rows start, start + 1, ... whose residues are
+    ``lanes``, one per ``w`` bytes in native byte order, for ``start`` a
+    multiple of ``_RECORDS``.  ``line`` is the line template with a NUL
+    for the index and one for the residue.
+
+    A residue digit is a pad where the residue has no digit of that place
+    (any place but the units).  Up to p = 256 every digit is
+    ``translate``d from the low byte of the residue's lane.  Past that,
+    low digits are split off until the rest fits a byte: each split takes
+    r // 10 as (r * magic) >> shift in lanes twice as wide, where
+    r * magic fits, and leaves a code per lane, the digit plus 10 when
+    r // 10 > 0, from which a table tells a leading zero from a zero.
+    """
+    head, sep, end = line.split(b"\0")
+    order = sys.byteorder
+    width = len(str(p - 1))  # the residue's digits
+    split = 0  # low digits split off before the rest fits a byte
+    while (p - 1) // 10**split > 255:
+        split += 1
+    # per digit place k, its character for each byte value: of the rest,
+    # whose units are place ``split``, high place first; then of the codes
+    # split off, low place first
+    rest_tables = [
+        bytes(_PAD[0] if k and v < 10**i else 48 + v // 10**i % 10 for v in range(256))
+        for k, i in zip(range(width - 1, split - 1, -1), range(width - 1 - split, -1, -1))
+    ]
+    code_tables = [
+        bytes(_PAD[0] if k and not c else 48 + c % 10 for c in range(256)) for k in range(split)
+    ]
+
+    digits = len(str(_RECORDS)) - 1  # the index digits below its top ones
+    index = []  # per place, high first: the column in a later block and in the first
+    for i in range(digits - 1, -1, -1):
+        column = b"".join(bytes([48 + d]) * 10**i for d in range(10)) * (_RECORDS // 10 ** (i + 1))
+        index.append((column, _PAD * 10**i + column[10**i :] if i else column))
+
+    def relane(lanes, w, to):
+        # each lane of w bytes as a lane of ``to``: its low bytes, zero-extended
+        keep = min(w, to)
+        out = bytearray(len(lanes) // w * to)
+        src, dst = (0, 0) if order == "little" else (w - keep, to - keep)
+        for b in range(keep):
+            out[dst + b :: to] = lanes[src + b :: w]
+        return out
+
+    def residue_columns(lanes, w):
+        k, wide, shift = len(lanes) // w, 2 * w, 8 * w + 3
+        low_digits = []
+        for table in code_tables:
+            ones = int.from_bytes((1).to_bytes(wide, order) * k, order)
+            r = int.from_bytes(relane(lanes, w, wide), order)  # each r < 2^(8w-1)
+            q = (r * ((1 << shift) // 10 + 1) >> shift) & ones * ((1 << 8 * w - 3) - 1)
+            q_nonzero = (q + ones * ((1 << 8 * w - 4) - 1)) >> 8 * w - 4 & ones
+            code = (r - 10 * (q - q_nonzero)).to_bytes(wide * k, order)
+            low_digits.append(relane(code, wide, 1).translate(table))
+            lanes = relane(q.to_bytes(wide * k, order), wide, w)
+        rest = relane(lanes, w, 1)
+        return [rest.translate(table) for table in rest_tables] + low_digits[::-1]
+
+    def records(lanes, w, start):
+        top = str(start // _RECORDS).encode() if start else b""
+        template = head + top + _PAD * digits + sep + _PAD * width + end
+        out = bytearray(template) * (len(lanes) // w)
+        at = len(head) + len(top)
+        for i, (column, first) in enumerate(index):
+            out[at + i :: len(template)] = (column if start else first)[: len(lanes) // w]
+        at += digits + len(sep)
+        for i, column in enumerate(residue_columns(lanes, w)):
+            out[at + i :: len(template)] = column
+        return out.replace(_PAD, b"").decode("ascii")
+
+    return records
 
 
 def _report(ns: argparse.Namespace, rows: list[tuple], failure: str | None) -> str | None:
@@ -180,13 +260,14 @@ def cmd_bell(ns: argparse.Namespace) -> str | None:
 
 def cmd_stirling(ns: argparse.Namespace) -> None:
     _need_depth(ns, ns.n_max, f"stirling {ns.n_max}")
-    # the row being written stays bound to ``row`` while the next is built
-    rows = enumerate(stirling_rows(ns.n_max))
-    _emit(
-        ("n", "k", "value"),
-        ((n, k, str(value)) for n, row in rows for k, value in enumerate(row)),
-        ns.format,
-    )
+    records = map(_stirling_records, count(), stirling_rows(ns.n_max))
+    _emit(("n", "k", "value"), chain.from_iterable(records), ns.format)
+
+
+def _stirling_records(n: int, row: tuple[int, ...]):
+    # no frame keeps ``row``: the records hold it only through an iterator
+    # that lets go of it once the row is written, before the next is built
+    return zip(repeat(n), count(), map(str, row))
 
 
 def cmd_shift_poly(ns: argparse.Namespace) -> str | None:
@@ -283,15 +364,15 @@ def cmd_bell_mod(ns: argparse.Namespace) -> str | None:
     else:
         # the stream's seed triangle costs O(p^2), so the depth bounds p - 1
         _need_depth(ns, p - 1, f"bell-mod {p} seeds")
-    residues = _checked(bell_mod_p_stream, p, ns.n_max)
+    blocks = _checked(_residue_blocks, p, ns.n_max)
     if ns.cross_check:
         bell = build_bell_binomial(ns.n_max)
         # the exact table already holds N+1 values, so the residues may too
-        residues = list(residues)
-        for n, (got, b) in enumerate(zip(residues, bell, strict=True)):
+        blocks = list(blocks)
+        for n, (got, b) in enumerate(zip(chain.from_iterable(blocks), bell, strict=True)):
             if got != b % p:
                 return f"stream disagrees with exact reduction at n={n}: {got} != {b % p}"
-    _emit(("n", "residue"), residues, ns.format, modulus=p)
+    _emit(("n", "residue"), blocks, ns.format, modulus=p)
     return None
 
 

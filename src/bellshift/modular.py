@@ -8,11 +8,20 @@ Everything mod-p in one place:
 * the residue identity B_{p^m} = m+1 (mod p);
 * Touchard's congruence B_{n+p^m} = m*B_n + B_{n+1} (mod p), swept over
   a range of n with every mismatch reported;
-* a lazy stream of B_n mod p from the m = 1 case,
-  B_{n+p} = B_n + B_{n+1} (mod p), which seeds itself with B_0..B_{p-1}
-  from Aitken's Bell triangle reduced mod p as it is built; it extends
-  a list of the last p residues a chunk at a time in C-level loops, so
-  its memory is O(p) however far it runs.
+* a lazy stream of B_n mod p, which seeds itself with B_0..B_{p-1}
+  from Aitken's Bell triangle reduced mod p as it is built, and jumps
+  q = p^m residues at a time by the same congruence.  The jump needs
+  nothing past the m = 1 case, B_{n+p} = B_n + B_{n+1}: that recurrence
+  says B_n = L(x^n) for a linear map L on F_p[x] that vanishes on every
+  multiple of x^p - x - 1, so in F_p[x]/(x^p - x - 1), where x^p = x + 1,
+  the Frobenius map gives
+  x^{p^m} = (x + 1)^{p^{m-1}} = x^{p^{m-1}} + 1 = ... = x + m, and
+  B_{n+q} = L(x^n (x + m)) = m*B_n + B_{n+1}.  So the q - 1 residues
+  after a window of the last q read only that window, and a block of
+  them is built in a few C-level passes over byte lanes.  The stream
+  holds its window and the block being built, q at most a fixed 4096
+  (or p, if p^2 is larger): its memory is O(p + block) however far it
+  runs.
 
 Residue arithmetic is word-sized: exact big integers are reduced once at
 the boundary, and p is bounded so p*p fits a machine word.  Primality of
@@ -25,10 +34,10 @@ equality, hashing and ``repr`` go by its fields.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import accumulate, chain, islice
+import sys
+from collections.abc import Callable, Iterator
+from itertools import accumulate, chain
 from math import comb
-from operator import add
 
 from .exact import _check_deep, _check_ints
 
@@ -180,62 +189,98 @@ def touchard_check(
 
 
 def bell_mod_p_stream(p: int, n_max: int) -> Iterator[int]:
-    """Yield B_0..B_{n_max} mod p by the linear recurrence B_{n+p} = B_n + B_{n+1}.
+    """Yield B_0..B_{n_max} mod p, p^m residues at a time by Touchard's
+    congruence B_{n+p^m} = m*B_n + B_{n+1} (mod p).
 
     The seeds B_0..B_{p-1} mod p come from Aitken's Bell triangle reduced
-    mod p as it is built, O(p^2) word-sized additions; everything past
-    the seed window is one addition per residue, so the stream extends
-    to large n_max at trivial cost.  The arguments are checked when the
-    function is called, before any residue is asked for.  The stream is
-    lazy: it computes ``_CHUNK`` = 256 residues at a time and holds only
-    the last p residues plus one chunk, so its memory is O(p), not
-    O(n_max).
+    mod p as it is built, O(p^2) word-sized additions.  The arguments are
+    checked when the function is called, before any residue is asked for,
+    and no residue is computed before the first ``next()``.  The stream
+    is lazy: it holds the last q residues and the block being built, for
+    q = p^m the largest power of p at most ``_BLOCK`` = 4096 (q = p when
+    p^2 is larger), so its memory is O(p + block), not O(n_max).
 
-    Nothing here bounds the seed triangle, which runs on the first
-    ``next()``: near the top of the word-sized primes its O(p^2) steps
-    take hours, so a caller taking p from outside should bound p - 1
-    first, as ``bell-mod`` does with ``--depth``.
+    Nothing here bounds the seed triangle: near the top of the word-sized
+    primes its O(p^2) steps take hours, so a caller taking p from outside
+    should bound p - 1 first, as ``bell-mod`` does with ``--depth``.
     """
+    return chain.from_iterable(_residue_blocks(p, n_max))
+
+
+def _residue_blocks(p: int, n_max: int) -> Iterator[memoryview]:
+    """``bell_mod_p_stream`` in blocks: each a ``memoryview`` of the next
+    residues, one per lane of ``itemsize`` bytes in native byte order.
+    The arguments are checked here, at the call."""
     PrimePower(p, 1)
     _check_ints(n_max=n_max)
     if n_max < p - 1:
         raise ValueError(f"n_max must be >= p-1 = {p - 1} to cover the seed window")
-    return _residues(p, n_max)
+    return _blocks(p, n_max)
 
 
-# residues per chunk: enough that the chunk step's C loops carry the run,
-# few enough that the window plus one chunk stays small
-_CHUNK = 256
+# the largest window the stream jumps from: enough residues per jump that
+# its C-level passes carry the run, few enough that the window stays small
+_BLOCK = 4096
 
 
-def _residues(p: int, n_max: int) -> Iterator[int]:
-    return chain.from_iterable(_chunks(p, n_max))
-
-
-def _chunks(p: int, n_max: int) -> Iterator[list[int]]:
+def _blocks(p: int, n_max: int) -> Iterator[memoryview]:
+    # A lane is 1, 2, 4 or 8 bytes wide, the least that holds 2^(8w-1) >= p:
+    # a lane sum of two residues then stays below 2^(8w), and its top bit
+    # tells whether it reached p (see _jump_by).
+    w = next(w for w in (1, 2, 4, 8) if p <= 1 << (8 * w - 1))
+    lanes = {1: "B", 2: "H", 4: "I", 8: "Q"}[w]  # the memoryview format of a lane
     # the seeds: row n of Aitken's triangle (see exact.build_bell_binomial)
     # starts with B_n, and a row of at most p residues sums below p*p
-    window, row = [1], [1]
+    seeds, row = [1], [1]
     for _ in range(p - 1):
         row = [a % p for a in accumulate(row, initial=row[-1])]
-        window.append(row[0])
-    yield window[:]  # a copy, since the window moves on
-    mod = list(range(p)) * 2  # mod[a + b] == (a + b) % p for residues a, b
-    for left in range(n_max + 1 - p, 0, -_CHUNK):
-        yield _extend(window, mod, min(left, _CHUNK))
+        seeds.append(row[0])
+    window = b"".join(r.to_bytes(w, sys.byteorder) for r in seeds)
+    left = n_max + 1 - p
+    yield memoryview(window).cast(lanes)
+    # The window grows from p residues to p^2, ...: while it holds all
+    # p^m residues so far, it and the p - 1 blocks after it are the first
+    # p^(m+1).  They are kept only while the window may still grow, so past
+    # the growth the stream holds one window.
+    m, run = 1, [window] if p * p <= _BLOCK else None
+    jump = _jump_by(p, w, m)
+    while left > 0:
+        window = jump(window)
+        yield memoryview(window)[: left * w].cast(lanes)
+        left -= p**m
+        if run is not None:
+            run.append(window)
+            if len(run) == p:
+                window, m = b"".join(run), m + 1
+                run = [window] if p ** (m + 1) <= _BLOCK else None
+                jump = _jump_by(p, w, m)
 
 
-def _extend(window: list[int], mod: list[int], take: int) -> list[int]:
-    """Advance ``window``, the last p residues B_{n-p}..B_{n-1}, by ``take``
-    residues and return them, B_n..B_{n+take-1}."""
-    p = len(window)
-    # the i-th new residue B_m = B_{m-p} + B_{m-p+1} is window[i] +
-    # window[i + 1].  A list iterator reads by index, so the two iterators
-    # see what extend appends: each new B_m is read back p - 1 steps later.
-    ahead = iter(window)
-    next(ahead)
-    pairs = map(add, iter(window), ahead)
-    window.extend(islice(map(mod.__getitem__, pairs), take))
-    new = window[p:]
-    del window[:take]
-    return new
+def _jump_by(p: int, w: int, m: int) -> Callable[[bytes], bytes]:
+    """The step from a window W of the last q = p^m residues, in lanes
+    of ``w`` bytes, to the next q, by B_{n+q} = m*B_n + B_{n+1} (see the
+    module docstring for why it holds).
+
+    New residue i < q - 1 is m*W[i] + W[i+1] mod p, from the window
+    alone: the window is scaled lane by lane through a ``translate``
+    table of m*r mod p, its q - 1 low lanes and its q - 1 high lanes are
+    added as two big integers, and p is taken off each lane whose sum
+    reached p, which its top bit shows once 2^(8w-1) - p is added to
+    every lane.  The last, m*W[q-1] + new[0], is the one scalar term.
+    m > 1 only when p^2 <= ``_BLOCK``, so a lane is then one byte; at
+    m = 1 the table is the identity on every byte.
+    """
+    order, top = sys.byteorder, 8 * w - 1
+    scale = bytes(m * r % p if r < p else r for r in range(256))
+    ones = int.from_bytes((1).to_bytes(w, order) * (p**m - 1), order)
+    bias = ((1 << top) - p) * ones
+
+    def jump(window: bytes) -> bytes:
+        s = int.from_bytes(window[:-w].translate(scale), order)
+        s += int.from_bytes(window[w:], order)
+        s -= ((s + bias) >> top & ones) * p
+        new = s.to_bytes(len(window) - w, order)
+        wrap = m * int.from_bytes(window[-w:], order) + int.from_bytes(new[:w], order)
+        return new + (wrap % p).to_bytes(w, order)
+
+    return jump

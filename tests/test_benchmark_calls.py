@@ -15,6 +15,8 @@ import pytest
 
 from bellshift import cli
 
+from test_cli import run_cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # each library op at a small size: its argv and the oracle check's sizes
@@ -56,3 +58,14 @@ def test_every_cli_op_parses(bench, workload):
     for op in ops:
         ns = cli._build_parser().parse_args(list(op.args))
         assert ns.func.__name__.startswith("cmd_")
+
+
+def test_every_modp_stream_op_passes_the_benchmark_oracle(bench):
+    # the benchmark's own check of bell-mod's rows, run on each argv the
+    # claimed workload draws with seed 1
+    ops = [op for op in bench.workloads.build("modp-stream", 1) if op.kind == "cli"]
+    assert ops
+    for op in ops:
+        res = run_cli(*op.args)
+        assert (res.returncode, res.stderr) == (0, ""), op.label
+        op.check(res.stdout.encode())

@@ -4,11 +4,13 @@ import ast
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import islice
+from array import array
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellshift import bell_mod_p_stream
-from bellshift import cli
+from bellshift import cli, modular
 
 from conftest import BELL_SMALL, child_env, child_peak_growth_mb
 from test_partitions import seen_set_orbit_decomposition
@@ -109,29 +111,62 @@ def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
     assert capsys.readouterr().out == expected
 
 
+def residue_blocks(p, count):
+    """The first ``count`` residues mod p, and the same residues in the
+    stream's lanes, cut into blocks of uneven sizes that end inside and
+    across the writer's writes of 1000 rows."""
+    lanes = next(modular._residue_blocks(p, p - 1)).format
+    residues = list(islice(bell_mod_p_stream(p, max(count, p - 1)), count))
+    blocks, start = [], 0
+    for size in cycle((1, 7, 333, 1000, 4096)):
+        if start >= count:
+            return residues, blocks
+        blocks.append(memoryview(array(lanes, residues[start : start + size])))
+        start += size
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
 @pytest.mark.parametrize("p", [2, 13, 199, 1009])
 @pytest.mark.parametrize("count", [0, 1, 99, 100, 101, 150, 1000, 10_001, 10_050])
 def test_emit_residue_form_matches_enumerated_rows(capsys, fmt, p, count):
-    # 99..101 cross the first chunk's unpadded table; 150 and 10_050 end a
-    # later chunk half full; the rest reach every index width up to five
-    # digits
+    # 99..101 and 1000 cross the first write's padded index digits; 150 and
+    # 10_050 end a later write part full; the rest reach every index width
+    # up to five digits.  p = 1009 has residues past a byte.
     fields = ("n", "residue")
-    residues = list(islice(bell_mod_p_stream(p, max(count, p - 1)), count))
+    residues, blocks = residue_blocks(p, count)
     parent_emit(fields, enumerate(residues), fmt)
     expected = capsys.readouterr().out
-    assert cli._emit(fields, residues, fmt, modulus=p) == count
+    assert cli._emit(fields, blocks, fmt, modulus=p) == count
     assert capsys.readouterr().out == expected
 
 
 def test_emit_residue_form_calls_share_no_buffer(capsys):
-    # the first call's short last chunk must not cut the second call's rows
+    # the first call's short last write must not cut the second call's rows
     fields = ("n", "residue")
     for p, count, fmt in ((13, 150, "tsv"), (199, 10_050, "json-lines"), (2, 301, "tsv")):
-        residues = list(islice(bell_mod_p_stream(p, max(count, p - 1)), count))
+        residues, blocks = residue_blocks(p, count)
         parent_emit(fields, enumerate(residues), fmt)
         expected = capsys.readouterr().out
-        assert cli._emit(fields, residues, fmt, modulus=p) == count
+        assert cli._emit(fields, blocks, fmt, modulus=p) == count
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "p, lanes", [(2579, "H"), (32749, "H"), (65521, "I"), (2**31 - 1, "I"), (3_037_000_493, "Q")]
+)
+def test_emit_residue_form_reads_wide_lanes(capsys, p, lanes):
+    # residues past a byte have low digits split off, two of them from
+    # p = 2579 on, in lanes of 2, 4 and 8 bytes; the stream's seeds are too
+    # slow for most of these p, so the residues are drawn at random, with
+    # every digit count from 1 to that of p - 1
+    rng = random.Random(p)
+    residues = [10**k - d for k in range(1, len(str(p))) for d in (1, 0)] + [0, p - 1]
+    residues += [rng.randrange(p) for _ in range(2_000)] + [rng.randrange(300) for _ in range(500)]
+    blocks = [memoryview(array(lanes, residues[i : i + 777])) for i in range(0, len(residues), 777)]
+    for fmt in ("tsv", "json-lines"):
+        parent_emit(("n", "residue"), enumerate(residues), fmt)
+        expected = capsys.readouterr().out
+        assert cli._emit(("n", "residue"), blocks, fmt, modulus=p) == len(residues)
         assert capsys.readouterr().out == expected
 
 
@@ -521,7 +556,7 @@ def test_bell_mod_seed_window_past_depth_is_refused_before_any_work(monkeypatch)
     def no_stream(p, n_max):
         raise AssertionError("bell-mod started the stream")
 
-    monkeypatch.setattr(cli, "bell_mod_p_stream", no_stream)
+    monkeypatch.setattr(cli, "_residue_blocks", no_stream)
     res = run_cli("bell-mod", "211", "300")
     assert res.returncode == 2
     assert res.stdout == ""
@@ -599,7 +634,7 @@ def no_work(monkeypatch):
 
     for target in (
         "bellshift.partitions._orbit_reps",
-        "bellshift.modular._residues",
+        "bellshift.modular._blocks",
         "bellshift.cli.build_bell_binomial",
         "bellshift.cli.stirling_rows",
     ):
@@ -790,6 +825,26 @@ RECORDED_DIGESTS = {
     # shift-poly's one emit call without --check-recursive
     ("shift-poly 10", "tsv"): "b30b8f973a4eb8a65cc586bc113f081f0254e3d63dad345dc798debfc7469276",
     ("shift-poly 10", "json-lines"): "9affa358986b5739d7fb57221f59fdc1c040049dfc4c961de1c47c4d2742d3de",
+    # every bell-mod argv the modp-stream benchmark workload can draw
+    ("bell-mod 11 600000", "tsv"): "79b17b453d9c70dc920b0dc9ff0f3f084b39a2732bc7dd62dddf110a9a33377e",
+    ("bell-mod 13 600000", "tsv"): "7ae8a4e8fb8f9a54ea29eaae31ba05234b895fe0fbe980cd20c78b059f31ca0a",
+    ("bell-mod 191 300000", "tsv"): "90e81cd5d9b2448bb507702bd79fcbd48c0d96310add56f9406f651e04a4721e",
+    ("bell-mod 193 300000", "tsv"): "9364c9dd56bada364fc4500bd940c3eb20d5c8c9f4763fb0ec9bc6726aa4690f",
+    ("bell-mod 197 300000", "tsv"): "0b705d6b277c8140d4c1e92fa5ef183f79411cd53273f892015f0ec8b356c02b",
+    ("bell-mod 199 300000", "tsv"): "71bb769ca7f167b1d39bf668cff767bc9a558c28eba5fb141b21f287fc2c6224",
+    ("bell-mod 23 100000", "json-lines"): "5f804a600a56bebc919893b61ed4fc55db7dd85c5dce908d71b72ddebbc91ef0",
+    ("bell-mod 29 100000", "json-lines"): "2dd7aaea79620a9b44ea7976ab7a5f955163b5c1419a263e6b0abf515865ac39",
+    ("bell-mod 31 100000", "json-lines"): "78a8137c4a0e4d1c5eb91c7acb031e037b9c2606e3d19cb56c31acf1325caf9b",
+    # residue-stream block and index edges: 2197 = 13^3, 4096 = 2^12, and
+    # p = 251, whose residues fill a byte, and p = 1009, whose do not
+    ("bell-mod 13 2197", "tsv"): "ac769d0415771b2543273ee8e6979ae638f35c63bfc90e384ab4611ecf4e9e8e",
+    ("bell-mod 13 2197", "json-lines"): "114afd4f7fbfe1f4af2b61f5a79287f57466bef5ba7422c24687d199de5e0c10",
+    ("bell-mod 2 4096", "tsv"): "215e3f07bb57b12105800f15ebd9b593038e607cc8c9afe2edbe3d0a832598b8",
+    ("bell-mod 2 4096", "json-lines"): "e1876ce3a63822db1f272e2ed56b61227dacd3a29701d52177ea1543911124b1",
+    ("bell-mod 251 1000 --depth 250", "tsv"): "107a954ab553c8d0a7e6be0467c88b03944d313e65bd2c91f7b18625db03a9a7",
+    ("bell-mod 251 1000 --depth 250", "json-lines"): "9b41b5d9be79cb2c8b99cc1e44f24f661cc55a60c830aa30972ce67c6da1dfd2",
+    ("bell-mod 1009 5000 --depth 1008", "tsv"): "40047c28006ad38499521c4a6fbb02a32862d825bb2612a45f829b2aaa56751a",
+    ("bell-mod 1009 5000 --depth 1008", "json-lines"): "9424356fe6179ecfa54528a67b635ca031f218e63841fee1f3b59f9db803a76d",
 }
 
 
@@ -839,7 +894,7 @@ def test_forced_construction_mismatch_exits_one(monkeypatch):
 
 
 def test_forced_stream_mismatch_exits_one(monkeypatch):
-    monkeypatch.setattr(cli, "bell_mod_p_stream", lambda p, n: [0] * (n + 1))
+    monkeypatch.setattr(cli, "_residue_blocks", lambda p, n: [memoryview(bytes(n + 1))])
     res = run_cli("bell-mod", "3", "10", "--cross-check")
     assert "stream disagrees" in counterexample(res)
     assert res.stdout == ""

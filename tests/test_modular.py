@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
+from array import array
 from collections import deque
 from itertools import accumulate, islice
 
@@ -244,25 +246,63 @@ def test_stream_ends_at_window_edges(p, bell300):
         assert list(bell_mod_p_stream(p, n)) == [b % p for b in bell300[: n + 1]]
 
 
-# each prime's chunk edges k chunks past the seed window, k = 1, 2;
-# 1009 is longer than a chunk
-_CHUNK_EDGES = [
-    (p, p - 1 + k * modular._CHUNK + d)
-    for p in (2, 13, 199, 1009)
-    for k in (1, 2)
-    for d in (-1, 0, 1)
-]
+def _block(p: int) -> int:
+    """q = p^m, the largest power of p at most the stream's block, or p."""
+    q = p
+    while q * p <= modular._BLOCK:
+        q *= p
+    return q
+
+
+# each prime's block edges: runs that end one short of, at and one past
+# k = 1, 2, 3 blocks of q = 4096, 2197, 841, 199 and 1009 residues; and
+# runs that end 256 and 512 past the seed window, inside a block but for p = 2
+_BLOCK_EDGES = [
+    (p, n)
+    for p in (2, 13, 29, 199, 1009)
+    for k in (1, 2, 3)
+    for n in (k * _block(p) - 2, k * _block(p) - 1, k * _block(p))
+    if n >= p - 1  # the seed window alone, when q = p
+] + [(p, p - 1 + k * 256 + d) for p in (2, 13, 199, 1009) for k in (1, 2) for d in (-1, 0, 1)]
 
 
 @pytest.fixture(scope="module")
-def bell_past_chunks():
-    return build_bell_binomial(max(n for _, n in _CHUNK_EDGES))
+def bell_past_blocks(bell300):
+    """B_0..B_{max n} mod each prime of ``_BLOCK_EDGES`` by the m = 1
+    recurrence B_{n+p} = B_n + B_{n+1} alone, one residue at a time from
+    exact seeds: the slow path the stream's p^m jumps must agree with."""
+    n_max = max(n for _, n in _BLOCK_EDGES)
+    out = {}
+    for p in {p for p, _ in _BLOCK_EDGES}:
+        seeds = bell300 if p < 300 else build_bell_binomial(p)
+        residues = [b % p for b in seeds[:p]]
+        for n in range(p, n_max + 1):
+            residues.append((residues[n - p] + residues[n - p + 1]) % p)
+        out[p] = residues
+    return out
 
 
-@pytest.mark.parametrize("p, n_max", _CHUNK_EDGES)
-def test_stream_ends_at_chunk_edges(p, n_max, bell_past_chunks):
-    expected = [b % p for b in bell_past_chunks[: n_max + 1]]
-    assert list(bell_mod_p_stream(p, n_max)) == expected
+@pytest.mark.parametrize("p, n_max", _BLOCK_EDGES)
+def test_stream_ends_at_chunk_edges(p, n_max, bell_past_blocks):
+    assert list(bell_mod_p_stream(p, n_max)) == bell_past_blocks[p][: n_max + 1]
+
+
+@pytest.mark.parametrize(
+    "p, w, m", [(2, 1, 1), (2, 1, 12), (13, 1, 3), (61, 1, 2), (127, 1, 1), (199, 2, 1), (32771, 4, 1)]
+)
+def test_jump_matches_the_m1_recurrence_in_each_lane_width(p, w, m):
+    # any sequence with s_{n+p} = s_n + s_{n+1} (mod p) jumps by
+    # s_{n+q} = m*s_n + s_{n+1}, q = p^m, so random seeds test the kernel
+    # in lanes of 1, 2 and 4 bytes; 32771 is the least prime past 2^15
+    assert is_prime(p)
+    rng = random.Random(p * m)
+    q = p**m
+    s = [rng.randrange(p) for _ in range(p)]
+    for n in range(p, 2 * q):
+        s.append((s[n - p] + s[n - p + 1]) % p)
+    lanes = {1: "B", 2: "H", 4: "I"}[w]
+    window = array(lanes, s[:q]).tobytes()
+    assert array(lanes, modular._jump_by(p, w, m)(window)).tolist() == s[q:]
 
 
 def _drained_peak(p: int, n_max: int) -> int:
@@ -274,9 +314,10 @@ def _drained_peak(p: int, n_max: int) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("p", [13, 1009])
+@pytest.mark.parametrize("p", [2, 13, 199, 1009])
 def test_stream_memory_is_o_p_not_o_n(p):
     # a hundredfold longer run must not raise the traced peak: the stream
-    # holds its last p residues (and, at first, the seed triangle's row)
+    # holds its window of q residues and the block being built (and, at
+    # first, the seed triangle's row); p = 2 has the largest block
     short, long = _drained_peak(p, 10**4), _drained_peak(p, 10**6)
     assert abs(long - short) < 4096, (short, long)

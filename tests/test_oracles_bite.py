@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import importlib
 import inspect
-from itertools import count, islice
-from operator import add
+from array import array
+from itertools import count
 
 import pytest
 
@@ -108,36 +108,44 @@ def multiplier_off(real):
 
 
 def residue_off_at_100(real):
-    def residues(p, n_max):
-        for n, r in enumerate(real(p, n_max)):
-            yield (r + 1) % p if n == 100 else r
+    # one residue off by one in the block that holds B_100
+    def blocks(p, n_max):
+        start = 0
+        for block in real(p, n_max):
+            lanes = block.tolist()
+            if start <= 100 < start + len(lanes):
+                lanes[100 - start] = (lanes[100 - start] + 1) % p
+            start += len(lanes)
+            yield memoryview(array(block.format, lanes))
 
-    return residues
+    return blocks
 
 
 def pair_table_off_at_p(real):
-    # the doubled residue table reads a + b == p as 1, not 0
-    def extend(window, mod, take):
-        p = len(window)
-        return real(window, [*mod[:p], 1, *mod[p + 1 :]], take)
-
-    return extend
+    # the lane reduction takes off p - 1, so a sum of exactly p reads 1, not
+    # 0, as a table of pair sums off at p would
+    return edited(real, "& ones) * p", "& ones) * (p - 1)")
 
 
 def trims_one_short(real):
-    # each chunk leaves one residue too many in the window, so the next
-    # chunk adds pairs one step too far back
-    def extend(window, mod, take):
-        p = len(window)
-        ahead = iter(window)
-        next(ahead)
-        pairs = map(add, iter(window), ahead)
-        window.extend(islice(map(mod.__getitem__, pairs), take))
-        new = window[p:]
-        del window[: take - 1]
-        return new
+    # the shifted window is trimmed one lane too many, so each new residue
+    # adds the window entry one step too far on
+    return edited(real, "window[w:]", "window[2 * w :]")
 
-    return extend
+
+def jump_coefficient_off(real):
+    # B_{n+p^m} read as (m+1)*B_n + B_{n+1} once the window has grown past
+    # p, so only the jumps of m >= 2 are wrong
+    def jump_by(p, w, m):
+        return real(p, w, m + (m > 1))
+
+    return jump_by
+
+
+def lane_left_at_p(real):
+    # each lane's top bit is read against p + 1, so a sum of exactly p is
+    # left unreduced
+    return edited(real, "((1 << top) - p)", "((1 << top) - p - 1)")
 
 
 def drops_one_orbit(real):
@@ -169,10 +177,16 @@ MUTANTS = [
     ("bellshift.cli.build_bell_binomial", bell_off_at_50, "verify 3 1"),
     # caught at n = 1: 3*B_1 + B_2 = 5 = 2 but B_10 = 115975 = 1 (mod 3)
     ("bellshift.cli.touchard_check", multiplier_off, "verify 3 2"),
-    ("bellshift.modular._residues", residue_off_at_100, "bell-mod 13 120 --cross-check"),
-    # 588 residues past the seeds: two full chunks and part of a third
-    ("bellshift.modular._extend", pair_table_off_at_p, "bell-mod 13 600 --cross-check --depth 600"),
-    ("bellshift.modular._extend", trims_one_short, "bell-mod 13 600 --cross-check --depth 600"),
+    ("bellshift.modular._blocks", residue_off_at_100, "bell-mod 13 120 --cross-check"),
+    # 588 residues past the seeds: twelve jumps of 13 grow the window to 169,
+    # then three jumps of 169, the last cut short
+    ("bellshift.modular._jump_by", pair_table_off_at_p, "bell-mod 13 600 --cross-check --depth 600"),
+    ("bellshift.modular._jump_by", trims_one_short, "bell-mod 13 600 --cross-check --depth 600"),
+    # the window reaches q = 29^2 = 841 at n = 841, so the last 60 residues
+    # come from a jump of m = 2
+    ("bellshift.modular._jump_by", jump_coefficient_off, "bell-mod 29 900 --cross-check --depth 900"),
+    # p = 199 jumps p at a time, in lanes of two bytes
+    ("bellshift.modular._jump_by", lane_left_at_p, "bell-mod 199 600 --cross-check --depth 600"),
     ("bellshift.partitions._orbit_reps", drops_one_orbit, "orbits 2 3"),
 ]
 
