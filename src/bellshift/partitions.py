@@ -15,12 +15,16 @@ value class whose one field is the string, and n is its length.
 
 One walk over the prefixes of length n-1 serves both the stream and the
 tally by block count.  It keeps each prefix's block count beside it, as
-Knuth's Algorithm H (TAOCP 7.2.1.5) keeps the running maximum, so the
-stream appends the last entry to one tuple per prefix, and the tally
-adds one per string to the count that the last entry decides, without
-building or scanning the string.  It does not add a whole prefix's
-strings at once: that is the Stirling recurrence, which the tally is
-there to check.
+Knuth's Algorithm H (TAOCP 7.2.1.5) keeps the running maximum, and runs
+the prefix's last entry through its values in one inner loop,
+backtracking only when that entry is exhausted.  The stream appends the
+string's last entry to one tuple per prefix.  The tally writes each
+string as one byte, its block count less one, read from a table by the
+prefix's block count; it joins the bytes of 1024 prefixes at a time and
+counts every block count in them with ``bytes.count``.  So it reads
+every string once, without building or scanning it, and holds one chunk
+of bytes, not B_n.  It does not add a whole prefix's strings at once:
+that is the Stirling recurrence, which the tally is there to check.
 
 Translation orbits do not go through the enumeration.  A necklace-style
 walk (as in Ruskey, Savage and Wang, "Generating necklaces", 1992)
@@ -42,6 +46,8 @@ desk scale, and above the fixed ceiling ``MAX_GROUND_SET`` = 256.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import islice
+from operator import itemgetter
 
 from .exact import _check_ints
 from .modular import PrimePower, _Frozen
@@ -61,6 +67,8 @@ DEFAULT_ENUMERATION_CAP = 12
 # no cap lifts it: _prefix_walk and _orbit_reps allocate lists of length n
 # before they yield, so under a raised cap a huge n would allocate, not refuse
 MAX_GROUND_SET = 256
+# prefixes whose strings count_by_blocks joins into one chunk of bytes
+_CHUNK = 1024
 
 
 def _canonical(labels: Iterable[int]) -> tuple[int, ...]:
@@ -127,17 +135,29 @@ def _prefix_walk(n: int) -> Iterator[tuple[list[int], int]]:
     with its block count.
 
     Each step yields the live list ``a``, whose first n-1 entries hold the
-    prefix (its last entry is scratch), and ``top`` = ``b[-1]``, the
-    prefix's block count, which is also the largest value the last entry
-    may take.  The walk rewrites ``a`` when resumed, so a caller that
-    keeps a prefix copies it first.
+    prefix (its last entry is scratch), and ``top``, the prefix's block
+    count, which is also the largest value the last entry may take.  The
+    walk rewrites ``a`` when resumed, so a caller that keeps a prefix
+    copies it first.
+
+    The prefix's last entry, at position n-2, runs through 0..b[n-2] in
+    one inner loop; the value b[n-2] opens a block, so its prefix has one
+    more.  Only when that position is exhausted does the walk backtrack,
+    as Algorithm H does, to the rightmost earlier position below its bound.
     """
     a = [0] * n  # current string
     b = [1] * n  # largest value a[i] may take: 1 + max(a[:i]), and 0 for i = 0
     b[0] = 0
+    if n == 1:
+        yield a, 0
+        return
+    j = n - 2
     while True:
-        yield a, b[-1]
-        i = n - 2
+        bj = b[j]
+        for v in range(bj + 1):
+            a[j] = v
+            yield a, bj + (v == bj)
+        i = j - 1
         while i > 0 and a[i] == b[i]:
             i -= 1
         if i <= 0:
@@ -182,19 +202,25 @@ def count_by_blocks(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ..
     Each string's block count is read off the prefix walk, not off a
     built string: under a prefix with ``top`` blocks, the ``top``
     strings whose last entry lies below ``top`` have ``top`` blocks and
-    the one ending in ``top`` has ``top + 1``.  The tally still adds one
-    per string, as Algorithm H (TAOCP 7.2.1.5) visits each; adding
-    ``top`` and 1 once per prefix would be the Stirling recurrence
-    {n brace k} = k {n-1 brace k} + {n-1 brace k-1} itself, and the
-    count would no longer check it independently.
+    the one ending in ``top`` has ``top + 1``.  Each string becomes one
+    byte, its block count less one (so every n up to ``MAX_GROUND_SET``
+    fits), and ``tails[top]`` holds the ``top + 1`` bytes of a prefix's
+    strings.  The bytes of ``_CHUNK`` prefixes at a time are joined, and
+    ``bytes.count`` reads every byte, so the tally still counts string by
+    string, as Algorithm H (TAOCP 7.2.1.5) visits each.  Adding ``top``
+    and 1 once per prefix would be the Stirling recurrence
+    {n brace k} = k {n-1 brace k} + {n-1 brace k-1} itself, and the count
+    would no longer check it independently.  Memory stays one chunk, at
+    most ``_CHUNK * n`` bytes, not B_n.
     """
     _check_cap(n, cap)
-    counts = [0] * (n + 1)  # counts[k]: strings with k blocks
-    for _, top in _prefix_walk(n):
-        for _ in range(top):  # the last entry joins one of the top blocks
-            counts[top] += 1
-        counts[top + 1] += 1  # the last entry opens a block of its own
-    return tuple(counts[1:])
+    tails = [bytes(t * [t - 1] + [t]) for t in range(n)]
+    tops = map(itemgetter(1), _prefix_walk(n))
+    counts = [0] * n  # counts[k]: strings with k + 1 blocks
+    while chunk := b"".join(map(tails.__getitem__, islice(tops, _CHUNK))):
+        for k in range(n):
+            counts[k] += chunk.count(k)
+    return tuple(counts)
 
 
 def apply_shift(part: SetPartition, y: int) -> SetPartition:

@@ -69,3 +69,19 @@ def test_every_modp_stream_op_passes_the_benchmark_oracle(bench):
         res = run_cli(*op.args)
         assert (res.returncode, res.stderr) == (0, ""), op.label
         op.check(res.stdout.encode())
+
+
+def test_every_partition_oracle_op_passes_the_benchmark_oracle(bench, capsys):
+    # every CLI and library op of the partition workload as seed 1 draws
+    # them, each checked by the benchmark's own oracle for that op
+    ops = bench.workloads.build("partition-oracle", 1)
+    assert {op.kind for op in ops} == {"cli", "lib"}
+    for op in ops:
+        if op.kind == "cli":
+            res = run_cli(*op.args)
+            assert (res.returncode, res.stderr) == (0, ""), op.label
+            out = res.stdout
+        else:
+            assert bench.child.LIB_OPS[op.args[0]](*op.args[1:]) == 0, op.label
+            out = capsys.readouterr().out
+        op.check(out.encode())

@@ -4,8 +4,9 @@ make the check that covers it fail.
 Each CLI row names a module-level function, a mutant built from the real
 one, and the argv whose shipped check must catch it.  The same argv first
 runs unpatched and must pass, so no row can pass vacuously.  A kernel
-with no CLI check, the prefix walk behind ``count_by_blocks``, is checked
-the same way against its slow oracle in the tests."""
+with no CLI check, the prefix walk behind ``count_by_blocks`` or the
+tally itself, is checked the same way against its slow oracle in the
+tests."""
 
 from __future__ import annotations
 
@@ -229,9 +230,29 @@ def top_off_at_4th_prefix(real):
     return walk
 
 
-@pytest.mark.parametrize("mutant", [bound_not_raised, top_off_at_4th_prefix])
+def opened_block_not_counted(real):
+    # the last-position loop gives every value the prefix's old block
+    # count, also the one value that opens a block
+    return edited(real, "bj + (v == bj)", "bj")
+
+
+@pytest.mark.parametrize(
+    "mutant", [bound_not_raised, top_off_at_4th_prefix, opened_block_not_counted]
+)
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_planted_prefix_walk_fault_breaks_the_max_tally(monkeypatch, mutant, n):
     assert count_by_blocks(n) == max_tally_by_blocks(n)
     monkeypatch.setattr(partitions, "_prefix_walk", mutant(partitions._prefix_walk))
     assert count_by_blocks(n) != max_tally_by_blocks(n)
+
+
+def tail_off_at_3(real):
+    # the string that opens a fourth block is tallied as a fifth
+    return edited(real, "+ [t]", "+ [t + (t == 3)]")
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_planted_tally_fault_breaks_the_max_tally(monkeypatch, n):
+    assert partitions.count_by_blocks(n) == max_tally_by_blocks(n)
+    monkeypatch.setattr(partitions, "count_by_blocks", tail_off_at_3(partitions.count_by_blocks))
+    assert partitions.count_by_blocks(n) != max_tally_by_blocks(n)

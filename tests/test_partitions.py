@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import tracemalloc
 from collections.abc import Iterator
 
 import pytest
@@ -22,6 +23,7 @@ from bellshift.partitions import (
     _canonical,
     _check_cap,
     _orbit_reps,
+    _prefix_walk,
     _rgs_stream,
 )
 
@@ -198,6 +200,21 @@ def test_rgs_stream_order_is_pinned():
     assert h.hexdigest() == RGS_STREAM_1_TO_10_SHA256
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_prefix_walk_yields_every_prefix_with_its_block_count(n):
+    # slow definition: the insertion oracle's partitions of an (n-1)-set as
+    # strings, sorted, each with 1 + its largest label (0 for the empty one)
+    prefixes = []
+    for part in insertion_partitions(n - 1):
+        rgs = [0] * (n - 1)
+        for label, block in enumerate(sorted(part, key=min)):
+            for x in block:
+                rgs[x] = label
+        prefixes.append(tuple(rgs))
+    slow = [(rgs, 1 + max(rgs, default=-1)) for rgs in sorted(prefixes)]
+    assert [(tuple(a[:-1]), top) for a, top in _prefix_walk(n)] == slow
+
+
 @pytest.mark.parametrize("bad", [True, False, 3.0, "3", None])
 def test_sizes_must_be_ints_before_any_work(bad):
     # bool is refused too, though it is an int subclass and compares as one
@@ -222,6 +239,19 @@ def test_count_by_blocks_small():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_count_by_blocks_matches_per_string_max_tally(n):
     assert count_by_blocks(n) == max_tally_by_blocks(n)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_count_by_blocks_holds_one_chunk(n):
+    # B_11 = 678,570 and B_12 = 4,213,597 strings; joined into one blob
+    # they would need as many bytes
+    tracemalloc.start()
+    try:
+        count_by_blocks(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 # ------------------------------------------------------------ SetPartition
