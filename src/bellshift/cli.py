@@ -1,33 +1,35 @@
 """Command-line surface for every computation and verification path.
 
-Subcommands::
+An argv is ``COMMAND ARGS [options]``.  The table ``_COMMANDS`` holds
+each command (``bell N``, ``stirling N``, ``shift-poly J``, ``verify P M``,
+``orbits P M``, ``bell-mod P N``) and its options, beside the common
+``--format {tsv,json-lines}``, ``--depth`` and ``--cap``; it drives both
+the one pass that reads an argv and the ``--help`` text.  After the
+command, never before it, a word that starts with ``--`` is an option,
+as ``--opt value`` or ``--opt=value`` and spelled in full (``--cross``
+is not ``--cross-check``); a repeated option keeps its last value.  An
+option's value is the next word, whatever it is, so ``--depth -1`` is
+read and then refused by the depth check.  Every other word is an int
+positional, so ``bell -1`` reaches the command's own check ("must be
+>= 0").  Ints are read by ``int()``.  ``-h`` or ``--help``, in place of
+the command or anywhere after it, writes that help to stdout and exits 0.
 
-    bell N          exact B_0..B_N, optionally cross-checked between the
-                    two recurrences
-    stirling N      the Stirling triangle through row N
-    shift-poly J    coefficients of the shift polynomial, optionally
-                    verified against the recurrence construction
-    verify P M      Touchard sweep plus the B_{p^m} residue check
-    orbits P M      translation-orbit decomposition and fixed partitions
-    bell-mod P N    streaming B_n mod p, optionally cross-checked
-
-Every subcommand accepts ``--format {tsv,json-lines}``, ``--depth`` and
-``--cap``.  ``--depth`` bounds the largest exact-table index that
-``bell``, ``stirling``, ``shift-poly`` and ``verify`` build, and
-``bell-mod``'s seed triangle and ``--cross-check`` table; ``--cap``
-alone bounds ``orbits``, whose B_n has n at most the cap.  TSV is
-tab-separated with a single ``#``-prefixed header line; JSON-lines emits
-one object per line, whose index columns ``n``, ``k``, ``r`` and
-``residue`` are numbers and every other value a string (B_0 is ``"1"``).
-Output is deterministic: the same flags always produce byte-identical
-bytes.
+``--depth`` bounds the largest exact-table index that ``bell``,
+``stirling``, ``shift-poly`` and ``verify`` build, and ``bell-mod``'s
+seed triangle and ``--cross-check`` table; ``--cap`` alone bounds
+``orbits``, whose B_n has n at most the cap.  TSV is tab-separated with
+a single ``#``-prefixed header line; JSON-lines emits one object per
+line, whose index columns ``n``, ``k``, ``r`` and ``residue`` are
+numbers and every other value a string (B_0 is ``"1"``).  Output is
+deterministic: the same flags always produce byte-identical bytes.
 
 Exit codes are load-bearing: 0 = all checks passed, 1 = a mathematical
 counterexample was found, 2 = usage or configuration error, 3 = internal
 error (the traceback goes to stderr), 141 = the reader of stdout went
 away (the status a shell reports for a writer killed by SIGPIPE).  A
-usage error is refused before any work, with one ``error:`` line on
-stderr in the words of the check that owns the limit, as in
+usage error, in the argv or past it, is refused before any work, with
+one ``error:`` line on stderr and nothing on stdout, in the words of the
+check that owns the limit, as in
 ``error: n=16 exceeds the enumeration cap of 12``.  Every exit 1 writes
 one ``counterexample:`` line on stderr naming the failed check and both
 its values; ``orbits`` checks its total against B_n too.  ``main`` alone
@@ -36,10 +38,10 @@ maps a command's outcome (that line's text, or ``None``) to a code.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat, starmap
+from types import SimpleNamespace
 
 from .exact import build_bell_binomial, build_binomials, stirling_rows
 from .modular import (
@@ -65,9 +67,9 @@ class UsageError(Exception):
     pass
 
 
-# rows per write: enough to batch short rows, few enough that wide rows (a
-# Bell number runs to thousands of digits) barely raise the peak memory
-_CHUNK_ROWS = 100
+# characters per write, about one buffer of the text layer: a wide row (a
+# Bell number runs to thousands of digits) is held only as its line
+_CHUNK_CHARS = 8192
 # records per write in the residue form: a power of ten, so that all but
 # the top digits of a block's indices are the same in every block
 _RECORDS = 1000
@@ -84,8 +86,9 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
     is a JSON string and an ``int`` a JSON number, so a caller passes a
     big integer as its decimal ``str``.  ``json`` is imported here, so a
     TSV run never loads it.  ``rows`` may be any iterable and is consumed
-    once, ``_CHUNK_ROWS`` = 100 rows per write, each chunk formatted
-    through one line template.
+    once, each row formatted through one line template as it is taken,
+    so that only its line outlives it, and the lines written some
+    ``_CHUNK_CHARS`` = 8192 characters at a time.
 
     With ``modulus=p``, ``rows`` are the residues r_0, r_1, ... in [0, p)
     in blocks, as ``modular._residue_blocks`` yields them: memoryviews of
@@ -105,23 +108,25 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
     if fmt == "tsv":
         sys.stdout.write("#" + "\t".join(fields) + "\n")
         line = "\t".join(["{}"] * len(fields)) + "\n"
-        values = chain.from_iterable
     else:
         from json.encoder import encode_basestring_ascii as quote
 
         line = "{{" + ", ".join(quote(f) + ": {}" for f in fields) + "}}\n"
-
-        def values(chunk):
+        if modulus is None:
             # an int goes through the template as json.dumps writes it
-            return [quote(v) if type(v) is str else v for row in chunk for v in row]
+            rows = ([quote(v) if type(v) is str else v for v in row] for row in rows)
 
     count = 0
     if modulus is None:
-        it = iter(rows)
-        while chunk := list(islice(it, _CHUNK_ROWS)):
-            sys.stdout.write((line * len(chunk)).format(*values(chunk)))
-            count += len(chunk)
-        return count
+        held, size = [], 0  # the lines not yet written, and their length
+        for text in starmap(line.format, rows):
+            held.append(text)
+            size += len(text)
+            if size >= _CHUNK_CHARS:
+                sys.stdout.write("".join(held))
+                count, held, size = count + len(held), [], 0
+        sys.stdout.write("".join(held))
+        return count + len(held)
     records = _residue_records(line.format("\0", "\0").encode(), modulus)
     pending = bytearray()  # lanes not yet written, fewer than one write's
     for block in rows:
@@ -213,13 +218,13 @@ def _residue_records(line: bytes, p: int):
     return records
 
 
-def _report(ns: argparse.Namespace, rows: list[tuple], failure: str | None) -> str | None:
+def _report(ns: SimpleNamespace, rows: list[tuple], failure: str | None) -> str | None:
     rows.append(("status", "ok" if failure is None else "counterexample"))
     _emit(("record", "value"), ((record, str(value)) for record, value in rows), ns.format)
     return failure
 
 
-def _need_depth(ns: argparse.Namespace, needed: int, what: str) -> None:
+def _need_depth(ns: SimpleNamespace, needed: int, what: str) -> None:
     if needed < 0:
         raise UsageError(f"{what} needs table index {needed}, which must be >= 0")
     if needed > ns.depth:
@@ -246,7 +251,7 @@ def _power(pp: PrimePower, limit: int, refusal: str) -> int:
     return pp.value
 
 
-def cmd_bell(ns: argparse.Namespace) -> str | None:
+def cmd_bell(ns: SimpleNamespace) -> str | None:
     _need_depth(ns, ns.n_max, f"bell {ns.n_max}")
     table = build_bell_binomial(ns.n_max)
     if ns.cross_check:
@@ -258,7 +263,7 @@ def cmd_bell(ns: argparse.Namespace) -> str | None:
     return None
 
 
-def cmd_stirling(ns: argparse.Namespace) -> None:
+def cmd_stirling(ns: SimpleNamespace) -> None:
     _need_depth(ns, ns.n_max, f"stirling {ns.n_max}")
     records = map(_stirling_records, count(), stirling_rows(ns.n_max))
     _emit(("n", "k", "value"), chain.from_iterable(records), ns.format)
@@ -270,7 +275,7 @@ def _stirling_records(n: int, row: tuple[int, ...]):
     return zip(repeat(n), count(), map(str, row))
 
 
-def cmd_shift_poly(ns: argparse.Namespace) -> str | None:
+def cmd_shift_poly(ns: SimpleNamespace) -> str | None:
     _need_depth(ns, ns.j, f"shift-poly {ns.j}")
     closed = shift_poly_closed(ns.j, build_bell_binomial(ns.j), build_binomials(ns.j))
     if ns.check_recursive:
@@ -287,7 +292,7 @@ def cmd_shift_poly(ns: argparse.Namespace) -> str | None:
     return None
 
 
-def cmd_verify(ns: argparse.Namespace) -> str | None:
+def cmd_verify(ns: SimpleNamespace) -> str | None:
     pp = _checked(PrimePower, ns.p, ns.m)
     what = f"verify {pp.p} {pp.m}"
     # touchard_check checks the range too, but only after the table is built
@@ -319,7 +324,7 @@ def cmd_verify(ns: argparse.Namespace) -> str | None:
     return _report(ns, rows, failure)
 
 
-def cmd_orbits(ns: argparse.Namespace) -> str | None:
+def cmd_orbits(ns: SimpleNamespace) -> str | None:
     pp = _checked(PrimePower, ns.p, ns.m)
     n = _power(pp, ns.cap, f"n={pp.p}^{pp.m} exceeds the enumeration cap of {ns.cap}")
     hist: dict[int, int] = {}  # orbit size -> orbit count
@@ -357,7 +362,7 @@ def cmd_orbits(ns: argparse.Namespace) -> str | None:
     return _report(ns, rows, failure)
 
 
-def cmd_bell_mod(ns: argparse.Namespace) -> str | None:
+def cmd_bell_mod(ns: SimpleNamespace) -> str | None:
     p = _checked(PrimePower, ns.p, 1).p
     if ns.cross_check:
         _need_depth(ns, ns.n_max, f"bell-mod {p} {ns.n_max} --cross-check")
@@ -376,99 +381,94 @@ def cmd_bell_mod(ns: argparse.Namespace) -> str | None:
     return None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("tsv", "json-lines"),
-        default="tsv",
-        help="output format (default: tsv)",
-    )
-    common.add_argument(
-        "--depth",
-        type=int,
-        default=DEFAULT_TABLE_DEPTH,
-        metavar="N",
-        help="largest exact-table index that bell, shift-poly, stirling, verify and "
-        "bell-mod may build; orbits reads only --cap (default %(default)s)",
-    )
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        metavar="n",
-        help="largest ground set the enumerator will accept (default %(default)s)",
-    )
+# The argv grammar: per command, its function, help line, int positionals
+# and own options; every command takes _COMMON too.  An option is (flag,
+# default, help), and its default sets its kind: False a flag, an int an
+# int, a tuple a choice of its items, the first the default.
+_COMMON = (
+    ("--format", ("tsv", "json-lines"), "output format"),
+    ("--depth", DEFAULT_TABLE_DEPTH, "largest exact-table index to build"),
+    ("--cap", DEFAULT_ENUMERATION_CAP, "largest ground set to enumerate; orbits' only bound"),
+)
+_COMMANDS = {
+    "bell": (cmd_bell, "emit B_0..B_N", "N", (
+        ("--cross-check", False, "also sum the Stirling rows and compare"),)),
+    "stirling": (cmd_stirling, "emit triangle rows (n, k, value)", "N", ()),
+    "shift-poly": (cmd_shift_poly, "emit shift-polynomial coefficients, ascending", "J", (
+        ("--check-recursive", False, "also build P_J by its recurrence and compare"),)),
+    "verify": (cmd_verify, "Touchard sweep and prime-power residue check", "P M", (
+        ("--n-lo", 1, "first n of the sweep"), ("--n-hi", 100, "last n of the sweep"))),
+    "orbits": (cmd_orbits, "translation-orbit decomposition of Z/p^m Z", "P M", ()),
+    "bell-mod": (cmd_bell_mod, "stream B_0..B_N mod p by the linear recurrence", "P N", (
+        ("--cross-check", False, "compare each residue with the exact table"),)),
+}
+_POSITIONALS = {"N": "n_max", "J": "j", "P": "p", "M": "m"}  # metavar -> namespace name
 
-    parser = argparse.ArgumentParser(
-        prog="bellshift",
-        description="Exact Bell/Stirling tables, shift polynomials, and modular "
-        "congruence verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bell", parents=[common], help="emit B_0..B_N")
-    p.add_argument("n_max", type=int, metavar="N")
-    p.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="also compute the row-sum recurrence and abort on any mismatch",
-    )
-    p.set_defaults(func=cmd_bell)
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace of ``argv``'s command, with the command as ``func``,
+    or for -h/--help the help text; the grammar is in the module docstring."""
+    command = argv[0] if argv[:1] and argv[0] in _COMMANDS else None
+    if {"-h", "--help"} & set(argv if command else argv[:1]):
+        return _help(command)
+    if command is None:
+        got = f"; got {argv[0]!r}" if argv else ""
+        raise UsageError(f"expected a command, one of {', '.join(_COMMANDS)}{got}")
+    func, _, metavars, own = _COMMANDS[command]
+    spec = {flag: (flag[2:].replace("-", "_"), kind) for flag, kind, _ in (*_COMMON, *own)}
+    ns = {name: kind[0] if type(kind) is tuple else kind for name, kind in spec.values()}
+    words, given = iter(argv[1:]), []
+    for word in words:
+        if not word.startswith("--"):
+            given.append(_checked(int, word))
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in spec:
+            raise UsageError(f"{command} has no option {flag}")
+        name, kind = spec[flag]
+        if kind is False and eq:
+            raise UsageError(f"{flag} takes no value")
+        if kind is not False and not eq and (value := next(words, None)) is None:
+            raise UsageError(f"{flag} needs a value")
+        if type(kind) is tuple and value not in kind:
+            raise UsageError(f"{flag} must be one of {', '.join(kind)}; got {value!r}")
+        ns[name] = True if kind is False else _checked(int, value) if type(kind) is int else value
+    names = [_POSITIONALS[metavar] for metavar in metavars.split()]
+    if len(given) != len(names):
+        got = " ".join(map(str, [command, *given]))
+        raise UsageError(f"expected {command} {metavars}; got {got}")
+    return SimpleNamespace(func=func, **ns, **dict(zip(names, given)))
 
-    p = sub.add_parser("stirling", parents=[common], help="emit triangle rows (n, k, value)")
-    p.add_argument("n_max", type=int, metavar="N")
-    p.set_defaults(func=cmd_stirling)
 
-    p = sub.add_parser(
-        "shift-poly", parents=[common], help="emit shift-polynomial coefficients, ascending"
-    )
-    p.add_argument("j", type=int, metavar="J")
-    p.add_argument(
-        "--check-recursive",
-        action="store_true",
-        help="also build the polynomial by its recurrence and compare",
-    )
-    p.set_defaults(func=cmd_shift_poly)
-
-    p = sub.add_parser(
-        "verify", parents=[common], help="Touchard sweep and prime-power residue check"
-    )
-    p.add_argument("p", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--n-lo", type=int, default=1, metavar="N")
-    p.add_argument("--n-hi", type=int, default=100, metavar="N")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "orbits", parents=[common], help="translation-orbit decomposition of Z/p^m Z"
-    )
-    p.add_argument("p", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser(
-        "bell-mod", parents=[common], help="stream B_0..B_N mod p by the linear recurrence"
-    )
-    p.add_argument("p", type=int)
-    p.add_argument("n_max", type=int, metavar="N")
-    p.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="compare every residue against the exact table (needs depth >= N)",
-    )
-    p.set_defaults(func=cmd_bell_mod)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The --help text of ``command``, or of the program for ``None``."""
+    if command is None:
+        head = "usage: bellshift COMMAND ARGS [options]\n\nExact Bell/Stirling tables, shift "
+        head += "polynomials, and modular congruence verification.\n\ncommands:\n"
+        rows = [(f"{name} {spec[2]}", spec[1]) for name, spec in _COMMANDS.items()]
+        rows.append(("COMMAND --help", "list the options of COMMAND"))
+    else:
+        _, about, metavars, own = _COMMANDS[command]
+        head = f"usage: bellshift {command} {metavars} [options]\n\n{about}\n\noptions:\n"
+        rows = [("-h, --help", "show this help and exit")]
+        for flag, kind, text in (*_COMMON, *own):
+            if kind is not False:
+                choice = type(kind) is tuple
+                flag += f" {{{','.join(kind)}}}" if choice else " N"
+                text += f" (default {kind[0] if choice else kind})"
+            rows.append((flag, text))
+    return head + "".join(f"  {left:<27} {text}\n" for left, text in rows)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
-    # big table values outgrow the int-to-str digit guard: lift it for this call
     digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        failure = ns.func(ns)
+        ns = _parse(sys.argv[1:] if argv is None else argv)  # under the digit guard
+        # big table values outgrow the int-to-str digit guard: lift it for this call
+        sys.set_int_max_str_digits(0)
+        if type(ns) is str:  # -h/--help
+            sys.stdout.write(ns)
+        failure = None if type(ns) is str else ns.func(ns)
         if failure is not None:
             print(f"counterexample: {failure}", file=sys.stderr)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit

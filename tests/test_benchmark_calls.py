@@ -1,6 +1,6 @@
 """The benchmark under ``perfbench/`` calls into ``bellshift``: its library
 ops call the public functions directly, and its CLI ops hand argvs to the
-parser.  These tests make those calls in process, so a change under
+CLI's parser.  These tests make those calls in process, so a change under
 ``src/`` that breaks one fails here and not only as a failed benchmark
 run."""
 
@@ -56,7 +56,7 @@ def test_every_cli_op_parses(bench, workload):
     ops = [op for op in bench.workloads.build(workload, 1) if op.kind == "cli"]
     assert ops
     for op in ops:
-        ns = cli._build_parser().parse_args(list(op.args))
+        ns = cli._parse(list(op.args))
         assert ns.func.__name__.startswith("cmd_")
 
 

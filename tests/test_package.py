@@ -176,14 +176,21 @@ def test_every_imported_name_is_used_in_its_module():
 
 # ------------------------------------------------------------------ start-up
 
-# what ``dataclasses`` pulls in, and ``json``, which only json-lines output needs
-START_UP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+# what ``dataclasses`` pulls in; ``json``, which only json-lines output
+# needs; and what ``argparse`` pulls in, to parse an argv or write its help
+START_UP_FREE = (
+    *("dataclasses", "inspect", "ast", "dis", "tokenize", "json"),
+    *("argparse", "re", "shutil", "gettext", "locale"),
+)
 
-# the CLI's rows go to stdout, the module report to stderr
+# the CLI's rows and help go to stdout; its one usage error line, then the
+# module report, go to stderr
 _IMPORT_SET = f"""
 import sys
 import bellshift, bellshift.cli
 assert bellshift.cli.main(["bell", "3"]) == 0
+assert bellshift.cli.main(["bell", "--help"]) == bellshift.cli.main(["-h"]) == 0
+assert bellshift.cli.main(["bell", "3", "--bogus"]) == 2
 print(*sorted(set({START_UP_FREE!r}) & set(sys.modules)), file=sys.stderr)
 assert bellshift.cli.main(["bell", "3", "--format", "json-lines"]) == 0
 print("json" in sys.modules, file=sys.stderr)
@@ -196,7 +203,7 @@ def test_start_up_imports_neither_dataclasses_nor_json():
         [sys.executable, "-S", "-c", _IMPORT_SET], capture_output=True, text=True, env=child_env()
     )
     assert res.returncode == 0, res.stderr
-    assert res.stderr == "\nTrue\n"
+    assert res.stderr == "error: bell has no option --bogus\n\nTrue\n"
 
 
 # ------------------------------------------------------------ value classes
