@@ -34,9 +34,12 @@ so it meets each orbit once, at its least member, yields it as a
 (representative, size) pair and remembers nothing: at n = 11 it keeps
 117,989 prefixes for 61,690 orbits, against B_11 = 678,570 strings.
 One tie test, run at each new position, keeps the rotations that still
-tie with the string; at a full string it runs on through the
-wrap-around, and the least rotation that comes full circle gives the
-orbit's size.
+tie with the string.  The last position runs all its labels in one
+loop, as the prefix walk does, and at each full string the test runs on
+through the wrap-around; the least rotation that comes full circle
+gives the orbit's size.  The wrap-around finds each label's latest
+earlier position from links the descent set on the way down (``prev``),
+so a leaf copies and writes no per-string state.
 
 Enumeration refuses ground sets above a configurable cap (default 12,
 about 4.2 million partitions) so that full orbit decompositions stay at
@@ -64,8 +67,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
-# no cap lifts it: _prefix_walk and _orbit_reps allocate lists of length n
-# before they yield, so under a raised cap a huge n would allocate, not refuse
+# no cap lifts it: _prefix_walk (a, b) and _orbit_reps (s, used, prev, tied,
+# lasts) allocate lists of length n before they yield, so under a raised cap
+# a huge n would allocate, not refuse
 MAX_GROUND_SET = 256
 # prefixes whose strings count_by_blocks joins into one chunk of bytes
 _CHUNK = 1024
@@ -246,12 +250,20 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     at or past q, and the next fresh label otherwise.  A label below
     s[x-q] cuts the prefix, since every completion has a smaller
     rotation; a label above it drops q.  The descent runs the test at
-    x = i with the label it tries, then adds start i.  At a leaf the same
-    test runs on through the wrap-around, at x = n, n+1, ... with the
-    label s[x-n], and adds no start: once the least start has come full
-    circle it ties all the way round and is the orbit size, and a string
-    whose starts all drop has an orbit of full size n.  Nothing is
-    remembered between leaves.
+    x = i with the label it tries, adds start i, and stores that j as
+    ``prev[i]`` before it copies ``last`` for the next depth.
+
+    The last position, depth n-1, is one loop over its labels.  Each
+    label that passes the test gives a full string, and the same test
+    runs on through the wrap-around, at x = n + y with the label s[y],
+    adding no start: once the least start has come full circle it ties
+    all the way round and is the orbit size, and a string whose starts
+    all drop has an orbit of full size n.  The wrap-around writes no
+    ``last``: the latest position before n + y holding s[y] is
+    ``prev[y]`` moved on by n when s[y] occurs before y, else n-1 when
+    s[y] is the leaf's own label, else the prefix's ``last`` of s[y].  A lone tied
+    start, the common case, is compared directly, with no list of the
+    starts that stay.  Nothing is remembered between leaves.
     """
     if n == 1:
         yield (0,), 1
@@ -259,50 +271,87 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     s = [-1] * n  # s[i]: the label tried last at depth i; s[0] is fixed
     s[0] = 0
     used = [1] * n  # used[x]: number of labels in s[0..x]
+    prev = [-1] * n  # prev[i]: latest position < i holding s[i], or -1
     tied = [[]] * n  # tied[i]: the starts q tied over s[q..i-1]
     lasts = [[0] + [-1] * n] * n  # lasts[i][v]: latest position < i holding v
     # a descent replaces rows of tied and lasts and never writes into one
+    leaf = n - 1
     i = 1
     while i:
-        v = s[i] + 1
         top = used[i - 1]
+        last = lasts[i]
+        if i == leaf:  # every label of the last position, each with its wrap-around
+            starts = tied[i]
+            for v in range(top + 1):
+                j = last[v]
+                keep = []
+                for q in starts:
+                    label = s[j - q] if j >= q else used[i - 1 - q]
+                    if label < s[i - q]:
+                        break
+                    if label == s[i - q]:
+                        keep.append(q)
+                else:
+                    s[i] = v
+                    keep.append(i)
+                    y = 0  # the wrap-around: position x = n + y holds s[y]
+                    while True:
+                        x = n + y
+                        # the latest position before x holding s[y]
+                        j = n + prev[y] if prev[y] >= 0 else i if s[y] == v else last[s[y]]
+                        y += 1
+                        if len(keep) == 1:
+                            q = keep[0]
+                            label = s[j - q] if j >= q else used[x - 1 - q]
+                            c = s[x - q]
+                            if label == c:
+                                if q > y:
+                                    continue
+                                yield tuple(s), q
+                            elif label > c:  # the one start drops: size n
+                                yield tuple(s), n
+                            break
+                        still = []
+                        for q in keep:
+                            label = s[j - q] if j >= q else used[x - 1 - q]
+                            if label < s[x - q]:
+                                break
+                            if label == s[x - q]:
+                                still.append(q)
+                        else:
+                            keep = still
+                            if not keep:
+                                yield tuple(s), n
+                            elif keep[0] > y:
+                                continue
+                            else:
+                                yield tuple(s), keep[0]
+                        break
+            i -= 1
+            continue
+        v = s[i] + 1
         if v > top:
             i -= 1
             continue
         s[i] = v
         used[i] = top + (v == top)
-        last = lasts[i]
-        keep = tied[i]
-        x = i  # the position tested: i, then n, n+1, ... at a leaf
-        while True:
-            j = last[v]
-            still = []
-            for q in keep:
-                label = s[j - q] if j >= q else used[x - 1 - q]
-                if label < s[x - q]:
-                    break
-                if label == s[x - q]:
-                    still.append(q)
-            else:
-                keep = still
-                if x == i:
-                    keep.append(i)
-                    last = last[:]
-                last[v] = x
-                x += 1
-                if x < n:
-                    i = x
-                    lasts[i] = last
-                    tied[i] = keep
-                    s[i] = -1
-                elif not keep:
-                    yield tuple(s), n
-                elif keep[0] > x - n:  # start keep[0] has not come full circle
-                    v = s[x - n]
-                    continue
-                else:
-                    yield tuple(s), keep[0]
-            break
+        j = last[v]
+        keep = []
+        for q in tied[i]:
+            label = s[j - q] if j >= q else used[i - 1 - q]
+            if label < s[i - q]:
+                break
+            if label == s[i - q]:
+                keep.append(q)
+        else:
+            keep.append(i)
+            prev[i] = j
+            last = last[:]
+            last[v] = i
+            i += 1
+            lasts[i] = last
+            tied[i] = keep
+            s[i] = -1
 
 
 def orbit_decomposition(
@@ -314,8 +363,9 @@ def orbit_decomposition(
     pair per orbit: the RGS tuple of the orbit's least member, in order
     of those members, and its size, which divides the modulus (sizes sum
     to B_modulus).  The pruned walk ``_orbit_reps`` behind it keeps
-    117,989 RGS prefixes (the root included) for the 61,690 orbits at
-    modulus 11, where a plain enumeration meets all B_11 = 678,570 strings.
+    117,989 RGS prefixes (the root and 94,502 full strings included) for
+    the 61,690 orbits at modulus 11, where a plain enumeration meets all
+    B_11 = 678,570 strings.
     """
     _check_cap(modulus, cap)
     return _orbit_reps(modulus)

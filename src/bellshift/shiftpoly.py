@@ -27,6 +27,7 @@ Ascending order is the natural one for Horner evaluation.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .exact import _check_deep, _check_ints
 
@@ -124,4 +125,4 @@ def bell_shift(
         raise ValueError(f"polynomial is for shift {len(poly) - 1}, not {j}")
     _check_deep(tri, n, "Stirling triangle")
     values = _values(tuple(poly), len(tri) - 1)
-    return sum(v * s for v, s in zip(values, tri[n][1 : n + 1]))
+    return sum(map(mul, values, tri[n][1 : n + 1]))

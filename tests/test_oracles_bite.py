@@ -6,7 +6,8 @@ one, and the argv whose shipped check must catch it.  The same argv first
 runs unpatched and must pass, so no row can pass vacuously.  A kernel
 with no CLI check, the prefix walk behind ``count_by_blocks`` or the
 tally itself, is checked the same way against its slow oracle in the
-tests."""
+tests; so are the orbit walk's mutants, against the seen-set oracle, on
+top of their CLI rows."""
 
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from itertools import count
 
 import pytest
 
-from bellshift import count_by_blocks, partitions
+from bellshift import count_by_blocks, orbit_decomposition, partitions
 
 from test_cli import counterexample, run_cli
-from test_partitions import max_tally_by_blocks
+from test_partitions import max_tally_by_blocks, seen_set_orbit_decomposition
 
 
 def lambda_off(real):
@@ -162,6 +163,25 @@ def drops_one_orbit(real):
     return reps
 
 
+def prev_link_off_by_one(real):
+    # the wrap-around reads an earlier occurrence one position too late
+    return edited(real, "n + prev[y]", "n + prev[y] + 1")
+
+
+def leaf_label_not_latest(real):
+    # a label first met at y is looked up in the prefix's last even when
+    # the leaf, at n - 1, holds it later
+    return edited(real, "i if s[y] == v else last[s[y]]", "last[s[y]]")
+
+
+def lone_drop_read_as_cut(real):
+    # a lone tied start that drops in the wrap-around cuts the string, so
+    # the orbits of full size n that it marks are lost
+    return edited(real, "elif label > c:", "elif False:")
+
+
+ORBIT_WALK_MUTANTS = [prev_link_off_by_one, leaf_label_not_latest, lone_drop_read_as_cut]
+
 MUTANTS = [
     ("bellshift.shiftpoly._tridiagonal_step", lambda_off, "shift-poly 5 --check-recursive"),
     (
@@ -189,6 +209,8 @@ MUTANTS = [
     # p = 199 jumps p at a time, in lanes of two bytes
     ("bellshift.modular._jump_by", lane_left_at_p, "bell-mod 199 600 --cross-check --depth 600"),
     ("bellshift.partitions._orbit_reps", drops_one_orbit, "orbits 2 3"),
+    # the B_8 = 4140 total reads 5189, 5676 and 636
+    *(("bellshift.partitions._orbit_reps", m, "orbits 2 3") for m in ORBIT_WALK_MUTANTS),
 ]
 
 
@@ -199,6 +221,14 @@ def test_planted_fault_exits_one(monkeypatch, target, mutant, argv):
     module, name = target.rsplit(".", 1)
     monkeypatch.setattr(target, mutant(getattr(importlib.import_module(module), name)))
     assert counterexample(run_cli(*argv.split()))
+
+
+@pytest.mark.parametrize("mutant", ORBIT_WALK_MUTANTS)
+def test_planted_orbit_walk_fault_breaks_the_seen_set_oracle(monkeypatch, mutant):
+    moduli = range(1, 9)
+    assert all(tuple(orbit_decomposition(n)) == seen_set_orbit_decomposition(n) for n in moduli)
+    monkeypatch.setattr(partitions, "_orbit_reps", mutant(partitions._orbit_reps))
+    assert any(tuple(orbit_decomposition(n)) != seen_set_orbit_decomposition(n) for n in moduli)
 
 
 def bound_not_raised(real):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import time
 import tracemalloc
+from collections import deque
 from collections.abc import Iterator
 
 import pytest
@@ -412,18 +413,43 @@ def test_orbit_walk_matches_seen_set_oracle(n):
     assert tuple(orbit_decomposition(n)) == seen_set_orbit_decomposition(n)
 
 
-def test_orbit_walk_past_the_seen_set_oracle_is_pinned():
-    # sha256 over repr of every (rep, size) pair at n = 11, recorded from
-    # the walk that the seen-set oracle checks through n = 10
+def orbit_walk_digest(n: int) -> tuple[int, str]:
+    """The orbit count and the sha256 over repr of every (rep, size) pair;
+    the pins below were recorded from the walk that the seen-set oracle
+    checks through n = 10."""
     digest = hashlib.sha256()
     count = 0
-    for pair in orbit_decomposition(11):
+    for pair in orbit_decomposition(n):
         digest.update(repr(pair).encode())
         count += 1
-    assert count == 61_690
-    assert digest.hexdigest() == (
-        "a341f6d316305644153244f64ae1b7fcafc0bcf5a8e4d71778715f21db60a879"
+    return count, digest.hexdigest()
+
+
+def test_orbit_walk_past_the_seen_set_oracle_is_pinned():
+    assert orbit_walk_digest(11) == (
+        61_690,
+        "a341f6d316305644153244f64ae1b7fcafc0bcf5a8e4d71778715f21db60a879",
     )
+
+
+def test_orbit_walk_at_the_default_cap_is_pinned():
+    # n = 12 is the largest modulus the default cap admits
+    assert orbit_walk_digest(12) == (
+        351_773,
+        "db3089a633f24fcce57ef6545dca5a7ea874625be09b318e8025492c8cb24341",
+    )
+
+
+def test_orbit_walk_keeps_no_per_orbit_state():
+    # 61,690 orbits at n = 11: a walk that kept a list or a tuple per leaf
+    # or per orbit would pass this bound at once
+    tracemalloc.start()
+    try:
+        deque(orbit_decomposition(11), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 1024
 
 
 @pytest.mark.parametrize("n", range(1, 9))
