@@ -76,8 +76,8 @@ _RECORDS = 1000
 _PAD = b"\0"
 
 
-def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None) -> int:
-    """Write ``rows`` to stdout and return how many were written.
+def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None) -> None:
+    """Write ``rows`` to stdout.
 
     This is the one writer of stdout, and each value it writes is an
     ``int`` or a ``str``.  TSV starts with a ``#``-prefixed header line
@@ -116,7 +116,6 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
             # an int goes through the template as json.dumps writes it
             rows = ([quote(v) if type(v) is str else v for v in row] for row in rows)
 
-    count = 0
     if modulus is None:
         held, size = [], 0  # the lines not yet written, and their length
         for text in starmap(line.format, rows):
@@ -124,22 +123,21 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
             size += len(text)
             if size >= _CHUNK_CHARS:
                 sys.stdout.write("".join(held))
-                count, held, size = count + len(held), [], 0
+                held, size = [], 0
         sys.stdout.write("".join(held))
-        return count + len(held)
+        return
     records = _residue_records(line.format("\0", "\0").encode(), modulus)
     pending = bytearray()  # lanes not yet written, fewer than one write's
+    start = 0  # the index of the first row in pending
     for block in rows:
         w = block.itemsize
         pending += block
         while len(pending) >= _RECORDS * w:
-            sys.stdout.write(records(pending[: _RECORDS * w], w, count))
+            sys.stdout.write(records(pending[: _RECORDS * w], w, start))
             del pending[: _RECORDS * w]
-            count += _RECORDS
+            start += _RECORDS
     if pending:
-        sys.stdout.write(records(pending, w, count))
-        count += len(pending) // w
-    return count
+        sys.stdout.write(records(pending, w, start))
 
 
 def _residue_records(line: bytes, p: int):

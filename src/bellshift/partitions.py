@@ -37,9 +37,10 @@ One tie test, run at each new position, keeps the rotations that still
 tie with the string.  The last position runs all its labels in one
 loop, as the prefix walk does, and at each full string the test runs on
 through the wrap-around; the least rotation that comes full circle
-gives the orbit's size.  The wrap-around finds each label's latest
-earlier position from links the descent set on the way down (``prev``),
-so a leaf copies and writes no per-string state.
+gives the orbit's size.  One table holds each label's latest position
+in the prefix: a descent links the entry it overwrites (``prev``) and a
+return writes it back.  The wrap-around reads the same links, so no
+depth and no leaf copies the table.
 
 Enumeration refuses ground sets above a configurable cap (default 12,
 about 4.2 million partitions) so that full orbit decompositions stay at
@@ -68,7 +69,7 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 12
 # no cap lifts it: _prefix_walk (a, b) and _orbit_reps (s, used, prev, tied,
-# lasts) allocate lists of length n before they yield, so under a raised cap
+# last) allocate lists of length n before they yield, so under a raised cap
 # a huge n would allocate, not refuse
 MAX_GROUND_SET = 256
 # prefixes whose strings count_by_blocks joins into one chunk of bytes
@@ -250,8 +251,9 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     at or past q, and the next fresh label otherwise.  A label below
     s[x-q] cuts the prefix, since every completion has a smaller
     rotation; a label above it drops q.  The descent runs the test at
-    x = i with the label it tries, adds start i, and stores that j as
-    ``prev[i]`` before it copies ``last`` for the next depth.
+    x = i with the label v it tries, adds start i, stores that j as
+    ``prev[i]`` and sets ``last[v] = i``; each return to depth i sets
+    ``last[s[i]] = prev[i]``, so one table serves every depth.
 
     The last position, depth n-1, is one loop over its labels.  Each
     label that passes the test gives a full string, and the same test
@@ -261,9 +263,8 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     all drop has an orbit of full size n.  The wrap-around writes no
     ``last``: the latest position before n + y holding s[y] is
     ``prev[y]`` moved on by n when s[y] occurs before y, else n-1 when
-    s[y] is the leaf's own label, else the prefix's ``last`` of s[y].  A lone tied
-    start, the common case, is compared directly, with no list of the
-    starts that stay.  Nothing is remembered between leaves.
+    s[y] is the leaf's own label, else the prefix's ``last`` of s[y].
+    Nothing is remembered between leaves.
     """
     if n == 1:
         yield (0,), 1
@@ -272,14 +273,13 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     s[0] = 0
     used = [1] * n  # used[x]: number of labels in s[0..x]
     prev = [-1] * n  # prev[i]: latest position < i holding s[i], or -1
+    last = [0] + [-1] * n  # last[v]: latest position < i holding v
     tied = [[]] * n  # tied[i]: the starts q tied over s[q..i-1]
-    lasts = [[0] + [-1] * n] * n  # lasts[i][v]: latest position < i holding v
-    # a descent replaces rows of tied and lasts and never writes into one
+    # a descent replaces rows of tied and never writes into one
     leaf = n - 1
     i = 1
     while i:
         top = used[i - 1]
-        last = lasts[i]
         if i == leaf:  # every label of the last position, each with its wrap-around
             starts = tied[i]
             for v in range(top + 1):
@@ -287,9 +287,9 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
                 keep = []
                 for q in starts:
                     label = s[j - q] if j >= q else used[i - 1 - q]
-                    if label < s[i - q]:
+                    if label < (c := s[i - q]):
                         break
-                    if label == s[i - q]:
+                    if label == c:
                         keep.append(q)
                 else:
                     s[i] = v
@@ -300,23 +300,12 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
                         # the latest position before x holding s[y]
                         j = n + prev[y] if prev[y] >= 0 else i if s[y] == v else last[s[y]]
                         y += 1
-                        if len(keep) == 1:
-                            q = keep[0]
-                            label = s[j - q] if j >= q else used[x - 1 - q]
-                            c = s[x - q]
-                            if label == c:
-                                if q > y:
-                                    continue
-                                yield tuple(s), q
-                            elif label > c:  # the one start drops: size n
-                                yield tuple(s), n
-                            break
                         still = []
                         for q in keep:
                             label = s[j - q] if j >= q else used[x - 1 - q]
-                            if label < s[x - q]:
+                            if label < (c := s[x - q]):
                                 break
-                            if label == s[x - q]:
+                            if label == c:
                                 still.append(q)
                         else:
                             keep = still
@@ -328,10 +317,12 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
                                 yield tuple(s), keep[0]
                         break
             i -= 1
+            last[s[i]] = prev[i]
             continue
         v = s[i] + 1
         if v > top:
             i -= 1
+            last[s[i]] = prev[i]
             continue
         s[i] = v
         used[i] = top + (v == top)
@@ -339,17 +330,15 @@ def _orbit_reps(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         keep = []
         for q in tied[i]:
             label = s[j - q] if j >= q else used[i - 1 - q]
-            if label < s[i - q]:
+            if label < (c := s[i - q]):
                 break
-            if label == s[i - q]:
+            if label == c:
                 keep.append(q)
         else:
             keep.append(i)
             prev[i] = j
-            last = last[:]
             last[v] = i
             i += 1
-            lasts[i] = last
             tied[i] = keep
             s[i] = -1
 

@@ -105,7 +105,7 @@ def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
     fields = ("n", "value", "label", "other")
     parent_emit(fields, mixed_rows(count), fmt)
     expected = capsys.readouterr().out
-    assert cli._emit(fields, mixed_rows(count), fmt) == count
+    cli._emit(fields, mixed_rows(count), fmt)
     assert capsys.readouterr().out == expected
 
 
@@ -121,7 +121,7 @@ def test_emit_writes_whole_lines_about_a_chunk_at_a_time():
     # and shorter by one line, and wide rows are not held 100 at a time
     rows = [(n, str(7**n)) for n in range(2_000)]
     with redirect_stdout(Writes()) as writes:
-        assert cli._emit(("n", "value"), rows, "tsv") == len(rows)
+        cli._emit(("n", "value"), rows, "tsv")
     header, *full, last = writes
     assert header == "#n\tvalue\n" and len(full) > 100
     assert "".join(full + [last]) == "".join(f"{n}\t{v}\n" for n, v in rows)
@@ -171,7 +171,7 @@ def test_emit_residue_form_matches_enumerated_rows(capsys, fmt, p, count):
     residues, blocks = residue_blocks(p, count)
     parent_emit(fields, enumerate(residues), fmt)
     expected = capsys.readouterr().out
-    assert cli._emit(fields, blocks, fmt, modulus=p) == count
+    cli._emit(fields, blocks, fmt, modulus=p)
     assert capsys.readouterr().out == expected
 
 
@@ -182,7 +182,7 @@ def test_emit_residue_form_calls_share_no_buffer(capsys):
         residues, blocks = residue_blocks(p, count)
         parent_emit(fields, enumerate(residues), fmt)
         expected = capsys.readouterr().out
-        assert cli._emit(fields, blocks, fmt, modulus=p) == count
+        cli._emit(fields, blocks, fmt, modulus=p)
         assert capsys.readouterr().out == expected
 
 
@@ -201,7 +201,7 @@ def test_emit_residue_form_reads_wide_lanes(capsys, p, lanes):
     for fmt in ("tsv", "json-lines"):
         parent_emit(("n", "residue"), enumerate(residues), fmt)
         expected = capsys.readouterr().out
-        assert cli._emit(("n", "residue"), blocks, fmt, modulus=p) == len(residues)
+        cli._emit(("n", "residue"), blocks, fmt, modulus=p)
         assert capsys.readouterr().out == expected
 
 
@@ -348,18 +348,30 @@ def test_bell_beyond_depth_is_usage_error():
 
 
 def test_environment_does_not_change_a_run(monkeypatch):
-    # a run is its argv: names that look like settings of --depth and --cap change nothing
-    argvs = [("bell", "9"), ("orbits", "5", "1")]
-    clean = [run_cli(*argv).stdout for argv in argvs]
+    # a run is its argv: names that look like settings of --depth and --cap
+    # change no outcome, a refusal's included, with the option passed or not
+    argvs = [
+        ("bell", "9"),
+        ("bell", "9", "--depth", "9"),
+        ("orbits", "5", "1"),
+        ("orbits", "5", "1", "--cap", "5"),
+        ("bell", "9", "--depth", "5"),
+    ]
+
+    def outcomes():
+        runs = [run_cli(*argv) for argv in argvs]
+        return [(res.returncode, res.stdout, res.stderr) for res in runs]
+
+    clean = outcomes()
+    assert [code for code, _, _ in clean] == [0, 0, 0, 0, 2]
     for name, value in [
         ("BELLSHIFT_DEPTH", "5"),
         ("BELLSHIFT_CAP", "4"),
+        ("BELLSHIFT_DEPTH", "500"),
         ("BELLSHIFT_DEPTH", "many"),
     ]:
         monkeypatch.setenv(name, value)
-        for argv, out in zip(argvs, clean):
-            res = run_cli(*argv)
-            assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
+        assert outcomes() == clean
 
 
 def test_depth_flag_overrides_env(monkeypatch):
@@ -791,9 +803,19 @@ REFUSALS = [
         "bell-mod 211 100",
         "bell-mod 211 seeds needs table index 210, above the configured depth 200; raise --depth",
     ),
+    ("verify 9 1", "p=9 is not prime"),
+    ("verify 3 0", "exponent m must be >= 1"),
+    ("verify 2 1 --n-lo 0", "need 1 <= n_lo <= n_hi, got [0, 100]"),
     ("verify 2 1 --n-lo 7 --n-hi 3", "need 1 <= n_lo <= n_hi, got [7, 3]"),
+    (
+        "verify 2 1 --n-hi 300",
+        "verify 2 1 needs table index 302, above the configured depth 200; raise --depth",
+    ),
     ("verify 2 10000000", "verify 2 10000000: 2^10000000 is above the configured depth"),
+    ("bell 9 --depth 5", "bell 9 needs table index 9, above the configured depth 5; raise --depth"),
     ("bell -1", "bell -1 needs table index -1, which must be >= 0"),
+    ("stirling -1", "stirling -1 needs table index -1, which must be >= 0"),
+    ("shift-poly -1", "shift-poly -1 needs table index -1, which must be >= 0"),
 ]
 
 
@@ -915,12 +937,6 @@ def test_closed_stdout_mid_wide_rows_exits_141_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
-
-
-def test_repeated_runs_are_byte_identical():
-    a = run_cli("verify", "3", "2", "--format", "json-lines")
-    b = run_cli("verify", "3", "2", "--format", "json-lines")
-    assert a.stdout == b.stdout and a.returncode == b.returncode == 0
 
 
 # sha256 of stdout per command and format, recorded from a known-good

@@ -174,13 +174,38 @@ def leaf_label_not_latest(real):
     return edited(real, "i if s[y] == v else last[s[y]]", "last[s[y]]")
 
 
-def lone_drop_read_as_cut(real):
-    # a lone tied start that drops in the wrap-around cuts the string, so
-    # the orbits of full size n that it marks are lost
-    return edited(real, "elif label > c:", "elif False:")
+def wrap_drop_read_as_cut(real):
+    # a tied start that drops in the wrap-around cuts the string, so the
+    # orbits that it marks are lost
+    return edited(real, "if label < (c := s[x - q]):", "if label != (c := s[x - q]):")
 
 
-ORBIT_WALK_MUTANTS = [prev_link_off_by_one, leaf_label_not_latest, lone_drop_read_as_cut]
+def return_writes_its_position(real):
+    # the undo after a return from the descent writes the position itself,
+    # not its link, so its label keeps an occurrence the prefix has lost
+    return edited(
+        real,
+        "last[s[i]] = prev[i]\n            continue\n        s[i] = v",
+        "last[s[i]] = i\n            continue\n        s[i] = v",
+    )
+
+
+def leaf_return_not_undone(real):
+    # the return from the leaf skips its undo, so its label keeps an
+    # occurrence the prefix has lost
+    return edited(
+        real,
+        "last[s[i]] = prev[i]\n            continue\n        v = s[i] + 1",
+        "continue\n        v = s[i] + 1",
+    )
+
+
+ORBIT_WALK_MUTANTS = [
+    prev_link_off_by_one,
+    leaf_label_not_latest,
+    wrap_drop_read_as_cut,
+    return_writes_its_position,
+]
 
 MUTANTS = [
     ("bellshift.shiftpoly._tridiagonal_step", lambda_off, "shift-poly 5 --check-recursive"),
@@ -209,7 +234,7 @@ MUTANTS = [
     # p = 199 jumps p at a time, in lanes of two bytes
     ("bellshift.modular._jump_by", lane_left_at_p, "bell-mod 199 600 --cross-check --depth 600"),
     ("bellshift.partitions._orbit_reps", drops_one_orbit, "orbits 2 3"),
-    # the B_8 = 4140 total reads 5189, 5676 and 636
+    # the B_8 = 4140 total reads 5189, 5676, 4 and 297
     *(("bellshift.partitions._orbit_reps", m, "orbits 2 3") for m in ORBIT_WALK_MUTANTS),
 ]
 
@@ -223,7 +248,8 @@ def test_planted_fault_exits_one(monkeypatch, target, mutant, argv):
     assert counterexample(run_cli(*argv.split()))
 
 
-@pytest.mark.parametrize("mutant", ORBIT_WALK_MUTANTS)
+# leaf_return_not_undone has no CLI row: orbits 2 3 raises IndexError under it
+@pytest.mark.parametrize("mutant", [*ORBIT_WALK_MUTANTS, leaf_return_not_undone])
 def test_planted_orbit_walk_fault_breaks_the_seen_set_oracle(monkeypatch, mutant):
     moduli = range(1, 9)
     assert all(tuple(orbit_decomposition(n)) == seen_set_orbit_decomposition(n) for n in moduli)
