@@ -72,10 +72,13 @@ def test_every_modp_stream_op_passes_the_benchmark_oracle(bench):
 
 
 def test_every_partition_oracle_op_passes_the_benchmark_oracle(bench, capsys):
-    # every CLI and library op of the partition workload as seed 1 draws
-    # them, each checked by the benchmark's own oracle for that op
-    ops = bench.workloads.build("partition-oracle", 1)
+    # every CLI and library op of the partition workload as seeds 1 and 3
+    # draw them, each checked by the benchmark's own oracle for that op:
+    # seed 1 draws fixed-partitions 3 2 and seed 3 draws 2 3
+    draws = (bench.workloads.build("partition-oracle", seed) for seed in (1, 3))
+    ops = {op.label: op for ops in draws for op in ops}.values()
     assert {op.kind for op in ops} == {"cli", "lib"}
+    assert len(ops) == 7
     for op in ops:
         if op.kind == "cli":
             res = run_cli(*op.args)

@@ -193,12 +193,28 @@ def test_byte_stream_orders_like_the_tuples(n):
 RGS_STREAM_1_TO_10_SHA256 = "5ff0b806bcc1851fada1d23675fa5988b8781313428fb3c5789ee88b54c251b9"
 
 
-def test_rgs_stream_order_is_pinned():
+def rgs_stream_digest(stream) -> str:
     h = hashlib.sha256()
     for n in range(1, 11):
-        for rgs in _rgs_stream(n):
+        for rgs in stream(n):
             h.update(repr(rgs).encode())
-    assert h.hexdigest() == RGS_STREAM_1_TO_10_SHA256
+    return h.hexdigest()
+
+
+def test_rgs_stream_order_is_pinned():
+    assert rgs_stream_digest(_rgs_stream) == RGS_STREAM_1_TO_10_SHA256
+
+
+def test_first_string_builds_only_the_tables_it_meets():
+    # the stream's tables grow with the block counts the walk meets: an
+    # eager table of pairs at n = 256 would hold about n**3 / 3 tuples
+    tracemalloc.start()
+    try:
+        assert next(enumerate_partitions(256, cap=256)) == (0,) * 256
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
 
 
 @pytest.mark.parametrize("n", range(1, 10))
