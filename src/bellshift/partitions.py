@@ -13,22 +13,20 @@ hashing come for free.  The streams below yield these strings as plain
 tuples; ``SetPartition`` is the checked, printable view of one, a frozen
 value class whose one field is the string, and n is its length.
 
-One walk over the prefixes of length n-2 serves both the stream and the
-tally by block count.  It keeps each prefix's block count t beside it,
-as Knuth's Algorithm H (TAOCP 7.2.1.5) keeps the running maximum, and
-runs the prefix's last entry through its values in one inner loop,
-backtracking only when that entry is exhausted.  Both finish a prefix's
-last two positions from a table indexed by t: u runs over 0..t, then v
-over 0..t, or over 0..t+1 once u = t has opened a block.  The stream
-appends each such pair to one tuple per prefix.  The tally writes each
-string as one byte, its block count less one, so a prefix's strings are
-one row of bytes; it joins the rows of 256 prefixes at a time and
-counts every block count in them with ``bytes.count``.  So it reads
-every string once, without building or scanning it, and holds one chunk
-of bytes, not B_n.  It does not add a whole prefix's strings at once:
-that is the Stirling recurrence, which the tally is there to check.
-The two-position tables are built for the block counts the walk meets,
-not for n, so the first string at n = 256 builds only the one of t = 1.
+One walk over RGS prefixes, each with its block count t beside it, as
+Knuth's Algorithm H (TAOCP 7.2.1.5) keeps the running maximum, serves
+both the stream and the tally by block count.  It runs the prefix's last
+entry through its values in one inner loop, backtracking only when that
+entry is exhausted.  The stream walks prefixes of length n-1 and appends
+the string's last entry to one tuple per prefix.  The tally walks
+prefixes of length n-2 and finishes their last two positions from a
+table indexed by t: it writes each string as one byte, its block count
+less one, so a prefix's strings are one row of bytes.  It joins the
+rows of 256 prefixes at a time and counts every block count in them
+with ``bytes.count``.  So it reads every string once, without building
+or scanning it, and holds one chunk of bytes, not B_n.  It does not add
+a whole prefix's strings at once: that is the Stirling recurrence,
+which the tally is there to check.
 
 Translation orbits do not go through the enumeration.  A necklace-style
 walk (as in Ruskey, Savage and Wang, "Generating necklaces", 1992)
@@ -54,7 +52,6 @@ desk scale, and above the fixed ceiling ``MAX_GROUND_SET`` = 256.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cache
 from itertools import islice
 from operator import itemgetter
 
@@ -75,8 +72,8 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 12
 # no cap lifts it: _prefix_walk (a, b) and _orbit_reps (s, used, prev, tied,
 # last) allocate lists of length n before they yield, so under a raised cap
-# a huge n would allocate, not refuse; the two-position tables of the stream
-# and the tally grow with the block counts the walk meets, not with n
+# a huge n would allocate, not refuse; count_by_blocks's rows, about n**3 / 3
+# bytes, are built before its walk
 MAX_GROUND_SET = 256
 # prefixes whose strings count_by_blocks joins into one chunk of bytes
 _CHUNK = 256
@@ -156,10 +153,10 @@ def _prefix_walk(n: int) -> Iterator[tuple[list[int], int]]:
     more.  Only when that position is exhausted does the walk backtrack,
     as Algorithm H does, to the rightmost earlier position below its bound.
 
-    Both callers pass one less than their string length, so each prefix
-    they get stops two positions short of a string, and they finish it
-    from a table by ``top``.  The empty prefix, at n = 1, has ``top`` 0,
-    so the one position after it takes only the value 0.
+    ``count_by_blocks`` passes one less than its string length, so each
+    prefix it gets stops two positions short of a string, and it finishes
+    the prefix from a table by ``top``; at n = 1 the empty prefix has
+    ``top`` 0.
     """
     a = [0] * n  # current string
     b = [1] * n  # largest value a[i] may take: 1 + max(a[:i]), and 0 for i = 0
@@ -188,23 +185,14 @@ def _prefix_walk(n: int) -> Iterator[tuple[list[int], int]]:
 def _rgs_stream(n: int) -> Iterator[tuple[int, ...]]:
     """All canonical RGS of length n, as tuples, in lexicographic order.
 
-    ``_prefix_walk(n - 1)`` stops two positions short.  Each prefix is
-    made a tuple once, and ``pairs(top)`` finishes it: u runs over
-    0..top, then v over 0..top, or 0..top + 1 once u has opened a block,
-    so a string costs one short concatenation.  The table of a block
-    count is built the first time the walk meets it.
+    Each prefix of ``_prefix_walk`` is made a tuple once, and the last
+    entry, which runs over 0..top, is appended to it, so a string costs
+    one short concatenation.
     """
-    if n == 1:
-        yield (0,)
-        return
-
-    @cache
-    def pairs(t: int) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u in range(t + 1) for v in range(t + (u == t) + 1))
-
-    for a, top in _prefix_walk(n - 1):
+    last = [(v,) for v in range(n)]
+    for a, top in _prefix_walk(n):
         head = tuple(a[:-1])
-        for tail in pairs(top):
+        for tail in last[: top + 1]:
             yield head + tail
 
 
@@ -230,26 +218,25 @@ def count_by_blocks(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ..
     under t blocks, the t strings whose last entry lies below t have t
     blocks and the one ending in t has t + 1: ``tails[t]`` holds their
     t + 1 bytes.  The walk stops two positions short, at prefixes of
-    length n-2, and the same rule one level deeper gives ``rows(t)``,
+    length n-2, and the same rule one level deeper gives ``rows[t]``,
     the bytes of every string under a prefix with t blocks: t copies of
     ``tails[t]``, for the next entry below t, and ``tails[t + 1]`` for
-    the entry t that opens a block.  A row is built when the walk first
-    meets its t.  The rows of ``_CHUNK`` prefixes at a time are joined,
-    and ``bytes.count`` reads every byte, so the tally still counts
-    string by string, as Algorithm H (TAOCP 7.2.1.5) visits each.
-    Adding t and 1 once per prefix would be the Stirling recurrence
+    the entry t that opens a block.  The rows of ``_CHUNK`` prefixes at
+    a time are joined, and ``bytes.count`` reads every byte, so the tally
+    still counts string by string, as Algorithm H (TAOCP 7.2.1.5) visits
+    each.  Adding t and 1 once per prefix would be the Stirling recurrence
     {n brace k} = k {n-1 brace k} + {n-1 brace k-1} itself, and the count
-    would no longer check it independently.  Memory stays one chunk, at
-    most ``_CHUNK * n * n`` bytes, not B_n.
+    would no longer check it independently.  Memory stays the rows and
+    one chunk, at most ``_CHUNK * n * n`` bytes, not B_n.
     """
     _check_cap(n, cap)
     if n == 1:
         return (1,)
     tails = [bytes(t * [t - 1] + [t]) for t in range(n)]
-    rows = cache(lambda t: tails[t] * t + tails[t + 1])
+    rows = [tails[t] * t + tails[t + 1] for t in range(n - 1)]
     tops = map(itemgetter(1), _prefix_walk(n - 1))
     counts = [0] * n  # counts[k]: strings with k + 1 blocks
-    while chunk := b"".join(map(rows, islice(tops, _CHUNK))):
+    while chunk := b"".join(map(rows.__getitem__, islice(tops, _CHUNK))):
         for k in range(n):
             counts[k] += chunk.count(k)
     return tuple(counts)

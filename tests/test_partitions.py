@@ -193,21 +193,18 @@ def test_byte_stream_orders_like_the_tuples(n):
 RGS_STREAM_1_TO_10_SHA256 = "5ff0b806bcc1851fada1d23675fa5988b8781313428fb3c5789ee88b54c251b9"
 
 
-def rgs_stream_digest(stream) -> str:
+def test_rgs_stream_order_is_pinned():
     h = hashlib.sha256()
     for n in range(1, 11):
-        for rgs in stream(n):
+        for rgs in _rgs_stream(n):
             h.update(repr(rgs).encode())
-    return h.hexdigest()
+    assert h.hexdigest() == RGS_STREAM_1_TO_10_SHA256
 
 
-def test_rgs_stream_order_is_pinned():
-    assert rgs_stream_digest(_rgs_stream) == RGS_STREAM_1_TO_10_SHA256
-
-
-def test_first_string_builds_only_the_tables_it_meets():
-    # the stream's tables grow with the block counts the walk meets: an
-    # eager table of pairs at n = 256 would hold about n**3 / 3 tuples
+def test_first_string_at_the_ceiling_builds_no_large_table():
+    # before its first string the stream holds lists of length n, not
+    # tables that grow faster: a table of the last two entries' pairs
+    # at n = 256 would hold about n**3 / 3 tuples
     tracemalloc.start()
     try:
         assert next(enumerate_partitions(256, cap=256)) == (0,) * 256
