@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import chain, count, repeat, starmap
+from itertools import chain, count, islice, repeat, starmap
 from types import SimpleNamespace
 
 from .exact import build_bell_binomial, build_binomials, stirling_rows
@@ -67,9 +67,10 @@ class UsageError(Exception):
     pass
 
 
-# characters per write, about one buffer of the text layer: a wide row (a
-# Bell number runs to thousands of digits) is held only as its line
-_CHUNK_CHARS = 8192
+# lines per write: a wide row (a Bell number runs to thousands of digits)
+# is held only as its line, and at most this many lines at once; 16 wrote
+# slower, and 64 raised the peak RSS of bell 1000 --cross-check
+_LINES = 32
 # records per write in the residue form: a power of ten, so that all but
 # the top digits of a block's indices are the same in every block
 _RECORDS = 1000
@@ -87,8 +88,8 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
     big integer as its decimal ``str``.  ``json`` is imported here, so a
     TSV run never loads it.  ``rows`` may be any iterable and is consumed
     once, each row formatted through one line template as it is taken,
-    so that only its line outlives it, and the lines written some
-    ``_CHUNK_CHARS`` = 8192 characters at a time.
+    so that only its line outlives it, and the lines written ``_LINES`` =
+    32 at a time.
 
     With ``modulus=p``, ``rows`` are the residues r_0, r_1, ... in [0, p)
     in blocks, as ``modular._residue_blocks`` yields them: memoryviews of
@@ -117,14 +118,9 @@ def _emit(fields: tuple[str, ...], rows, fmt: str, *, modulus: int | None = None
             rows = ([quote(v) if type(v) is str else v for v in row] for row in rows)
 
     if modulus is None:
-        held, size = [], 0  # the lines not yet written, and their length
-        for text in starmap(line.format, rows):
-            held.append(text)
-            size += len(text)
-            if size >= _CHUNK_CHARS:
-                sys.stdout.write("".join(held))
-                held, size = [], 0
-        sys.stdout.write("".join(held))
+        lines = starmap(line.format, rows)
+        while text := "".join(islice(lines, _LINES)):
+            sys.stdout.write(text)
         return
     records = _residue_records(line.format("\0", "\0").encode(), modulus)
     pending = bytearray()  # lanes not yet written, fewer than one write's
@@ -250,11 +246,11 @@ def _power(pp: PrimePower, limit: int, refusal: str) -> int:
 
 
 def cmd_bell(ns: SimpleNamespace) -> str | None:
-    _need_depth(ns, ns.n_max, f"bell {ns.n_max}")
-    table = build_bell_binomial(ns.n_max)
+    _need_depth(ns, ns.n, f"bell {ns.n}")
+    table = build_bell_binomial(ns.n)
     if ns.cross_check:
         # a row is summed as it is yielded, so no name holds it while the next is built
-        for n, other in enumerate(map(sum, stirling_rows(ns.n_max))):
+        for n, other in enumerate(map(sum, stirling_rows(ns.n))):
             if other != table[n]:
                 return f"recurrences disagree at n={n}: {table[n]} != {other}"
     _emit(("n", "bell"), enumerate(map(str, table)), ns.format)
@@ -262,8 +258,8 @@ def cmd_bell(ns: SimpleNamespace) -> str | None:
 
 
 def cmd_stirling(ns: SimpleNamespace) -> None:
-    _need_depth(ns, ns.n_max, f"stirling {ns.n_max}")
-    records = map(_stirling_records, count(), stirling_rows(ns.n_max))
+    _need_depth(ns, ns.n, f"stirling {ns.n}")
+    records = map(_stirling_records, count(), stirling_rows(ns.n))
     _emit(("n", "k", "value"), chain.from_iterable(records), ns.format)
 
 
@@ -363,13 +359,13 @@ def cmd_orbits(ns: SimpleNamespace) -> str | None:
 def cmd_bell_mod(ns: SimpleNamespace) -> str | None:
     p = _checked(PrimePower, ns.p, 1).p
     if ns.cross_check:
-        _need_depth(ns, ns.n_max, f"bell-mod {p} {ns.n_max} --cross-check")
+        _need_depth(ns, ns.n, f"bell-mod {p} {ns.n} --cross-check")
     else:
         # the stream's seed triangle costs O(p^2), so the depth bounds p - 1
         _need_depth(ns, p - 1, f"bell-mod {p} seeds")
-    blocks = _checked(_residue_blocks, p, ns.n_max)
+    blocks = _checked(_residue_blocks, p, ns.n)
     if ns.cross_check:
-        bell = build_bell_binomial(ns.n_max)
+        bell = build_bell_binomial(ns.n)
         # the exact table already holds N+1 values, so the residues may too
         blocks = list(blocks)
         for n, (got, b) in enumerate(zip(chain.from_iterable(blocks), bell, strict=True)):
@@ -380,9 +376,10 @@ def cmd_bell_mod(ns: SimpleNamespace) -> str | None:
 
 
 # The argv grammar: per command, its function, help line, int positionals
-# and own options; every command takes _COMMON too.  An option is (flag,
-# default, help), and its default sets its kind: False a flag, an int an
-# int, a tuple a choice of its items, the first the default.
+# (each named by its metavar in lower case) and own options; every command
+# takes _COMMON too.  An option is (flag, default, help), and its default
+# sets its kind: False a flag, an int an int, a tuple a choice of its
+# items, the first the default.
 _COMMON = (
     ("--format", ("tsv", "json-lines"), "output format"),
     ("--depth", DEFAULT_TABLE_DEPTH, "largest exact-table index to build"),
@@ -400,7 +397,6 @@ _COMMANDS = {
     "bell-mod": (cmd_bell_mod, "stream B_0..B_N mod p by the linear recurrence", "P N", (
         ("--cross-check", False, "compare each residue with the exact table"),)),
 }
-_POSITIONALS = {"N": "n_max", "J": "j", "P": "p", "M": "m"}  # metavar -> namespace name
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | str:
@@ -431,7 +427,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
         if type(kind) is tuple and value not in kind:
             raise UsageError(f"{flag} must be one of {', '.join(kind)}; got {value!r}")
         ns[name] = True if kind is False else _checked(int, value) if type(kind) is int else value
-    names = [_POSITIONALS[metavar] for metavar in metavars.split()]
+    names = metavars.lower().split()
     if len(given) != len(names):
         got = " ".join(map(str, [command, *given]))
         raise UsageError(f"expected {command} {metavars}; got {got}")

@@ -98,8 +98,8 @@ def mixed_rows(count):
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
-# json-lines crosses the first 8192-character write at row 72 and TSV at
-# row 103; 300 rows cross several
+# 64 rows fill two writes of _LINES = 32 lines and 65 spill past them;
+# 300 rows cross several
 @pytest.mark.parametrize("count", [0, 1, 64, 65, 100, 101, 300])
 def test_emit_matches_print_and_json_dumps(capsys, fmt, count):
     fields = ("n", "value", "label", "other")
@@ -116,19 +116,18 @@ class Writes(list):
 
 
 def test_emit_writes_whole_lines_about_a_chunk_at_a_time():
-    # each row is held only as its line, and the lines go out once they
-    # reach _CHUNK_CHARS: so each write but the last is at least that long
-    # and shorter by one line, and wide rows are not held 100 at a time
+    # each row is held only as its line, and the lines go out _LINES at a
+    # time: so each write but the last holds exactly that many whole lines,
+    # the last from 1 to that many, and wide rows are not held 100 at a time
     rows = [(n, str(7**n)) for n in range(2_000)]
     with redirect_stdout(Writes()) as writes:
         cli._emit(("n", "value"), rows, "tsv")
     header, *full, last = writes
-    assert header == "#n\tvalue\n" and len(full) > 100
+    assert header == "#n\tvalue\n" and len(full) == (len(rows) - 1) // cli._LINES
     assert "".join(full + [last]) == "".join(f"{n}\t{v}\n" for n, v in rows)
-    widest = len(f"{rows[-1][0]}\t{rows[-1][1]}\n")
     for text in full:
-        assert text.endswith("\n") and cli._CHUNK_CHARS <= len(text) < cli._CHUNK_CHARS + widest
-    assert 0 < len(last) < cli._CHUNK_CHARS + widest
+        assert text.endswith("\n") and text.count("\n") == cli._LINES
+    assert last.endswith("\n") and 1 <= last.count("\n") <= cli._LINES
 
 
 @pytest.mark.parametrize("fmt, before", [("tsv", 0.77), ("json-lines", 1.26)])
@@ -356,6 +355,7 @@ def test_environment_does_not_change_a_run(monkeypatch):
         ("orbits", "5", "1"),
         ("orbits", "5", "1", "--cap", "5"),
         ("bell", "9", "--depth", "5"),
+        ("orbits", "5", "1", "--cap", "4"),
     ]
 
     def outcomes():
@@ -363,32 +363,16 @@ def test_environment_does_not_change_a_run(monkeypatch):
         return [(res.returncode, res.stdout, res.stderr) for res in runs]
 
     clean = outcomes()
-    assert [code for code, _, _ in clean] == [0, 0, 0, 0, 2]
+    assert [code for code, _, _ in clean] == [0, 0, 0, 0, 2, 2]
     for name, value in [
         ("BELLSHIFT_DEPTH", "5"),
         ("BELLSHIFT_CAP", "4"),
+        ("BELLSHIFT_CAP", "12"),
         ("BELLSHIFT_DEPTH", "500"),
         ("BELLSHIFT_DEPTH", "many"),
     ]:
         monkeypatch.setenv(name, value)
         assert outcomes() == clean
-
-
-def test_depth_flag_overrides_env(monkeypatch):
-    # --depth alone decides, whichever way BELLSHIFT_DEPTH points
-    monkeypatch.setenv("BELLSHIFT_DEPTH", "5")
-    res = run_cli("bell", "9", "--depth", "9")
-    assert res.returncode == 0
-    assert parse_tsv(res.stdout)[1][-1] == ["9", "21147"]
-    monkeypatch.setenv("BELLSHIFT_DEPTH", "500")
-    assert run_cli("bell", "9", "--depth", "5").returncode == 2
-
-
-def test_bad_depth_env_does_not_reach_commands_without_depth(monkeypatch):
-    monkeypatch.setenv("BELLSHIFT_DEPTH", "many")
-    res = run_cli("orbits", "3", "1")
-    assert res.returncode == 0
-    assert records(res.stdout)["status"] == "ok"
 
 
 def test_orbits_reads_cap_not_depth():
@@ -546,14 +530,6 @@ def test_orbits_over_cap_is_usage_error():
     assert res.returncode == 2
     assert "cap" in res.stderr
     assert run_cli("orbits", "2", "4").returncode == 2  # 16 > default cap 12
-
-
-def test_cap_flag_overrides_env(monkeypatch):
-    # --cap alone decides, whichever way BELLSHIFT_CAP points
-    monkeypatch.setenv("BELLSHIFT_CAP", "4")
-    assert run_cli("orbits", "5", "1", "--cap", "5").returncode == 0
-    monkeypatch.setenv("BELLSHIFT_CAP", "12")
-    assert run_cli("orbits", "5", "1", "--cap", "4").returncode == 2
 
 
 # ---------------------------------------------------------------- bell-mod
