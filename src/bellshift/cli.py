@@ -38,6 +38,7 @@ maps a command's outcome (that line's text, or ``None``) to a code.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from itertools import chain, count, islice, repeat, starmap
@@ -455,6 +456,8 @@ def _help(command: str | None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        gc.freeze()  # a process of its own: no collection, at exit too, walks what it imported
     digits = sys.get_int_max_str_digits()
     try:
         ns = _parse(sys.argv[1:] if argv is None else argv)  # under the digit guard

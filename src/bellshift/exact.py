@@ -109,12 +109,14 @@ def _stirling_step(row: list[int], n: int) -> list[int]:
     The one-step lag comes from a reverse iterator over the same list:
     it reads by index, so once it is one step ahead, it reads
     {n brace k} from the new end just after ``map`` has popped
-    {n brace k-1} (``map`` pulls from its iterables left to right)."""
+    {n brace k-1} (``map`` pulls from its iterables left to right).
+    ``ahead`` also ends the ``map``, so the pops need no count: its last
+    read is the appended 0 at k = n+1, and the next pop empties the row."""
     row.append(0)
     row.reverse()
     ahead = reversed(row)
     next(ahead)  # {n brace 0}
-    return [0, *map(add, map(row.pop, repeat(-1, n + 2)), map(mul, count(1), ahead))]
+    return [0, *map(add, map(row.pop, repeat(-1)), map(mul, count(1), ahead))]
 
 
 def build_stirling(n_max: int) -> tuple[tuple[int, ...], ...]:

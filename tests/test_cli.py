@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -721,6 +722,46 @@ def test_help_is_the_benchmark_start_up_probe():
     )
     assert (res.returncode, res.stderr) == (0, b"")
     assert res.stdout.startswith(b"usage:")
+
+
+def test_usage_error_through_the_process_entry_exits_two():
+    res = subprocess.run(
+        [sys.executable, "-m", "bellshift", "orbits", "13", "1"], capture_output=True, env=child_env()
+    )
+    assert (res.returncode, res.stdout) == (2, b"")
+    assert res.stderr == b"error: n=13 exceeds the enumeration cap of 12\n"
+
+
+def test_an_in_process_call_keeps_the_callers_collector_state():
+    # only main() with no argv, a process of its own, freezes the heap
+    before = (gc.get_freeze_count(), gc.isenabled())
+    for args in (["--help"], ["bell", "5"], ["orbits", "13", "1"]):
+        run_cli(*args)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+_ENTRY_PROBE = """
+import gc, runpy, sys
+tracked = len(gc.get_objects())
+sys.argv = ["bellshift", "--help"]
+try:
+    runpy.run_module("bellshift", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, tracked, gc.get_freeze_count())
+"""
+
+
+def test_the_process_entry_freezes_what_it_imported():
+    # each command runs as its own short process: everything tracked
+    # before the work, the package's import included, goes to the
+    # permanent generation, which no collection walks
+    res = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE], capture_output=True, text=True, env=child_env()
+    )
+    assert res.returncode == 0, res.stderr
+    code, tracked, frozen = map(int, res.stdout.splitlines()[-1].split())
+    assert code == 0 and frozen > tracked
 
 
 def test_help_names_every_command_and_each_its_options():
